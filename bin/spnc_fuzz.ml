@@ -1,21 +1,26 @@
-(** spnc_fuzz — differential fuzzing driver (docs/RESILIENCE.md).
+(** spnc_fuzz — differential fuzzing driver (docs/FUZZING.md,
+    docs/RESILIENCE.md).
 
-    Generates seeded random SPNs ([Spnc_resilience.Fuzz]) and
-    cross-checks, for every case, the reference evaluator against:
+    Four generators feed one differential core ([Spnc_resilience.Fuzz]:
+    outcome barrier, comparator, shrink loop, reproducer bundle):
 
-    - the bufferized LoSPN interpreter (the target-independent pipeline),
-    - the CPU backend at every [-O] level on BOTH execution engines (the
-      reference VM interpreter and the closure-compiled JIT),
-    - the GPU backend in the functional simulator,
+    - default: seeded random SPNs, where the reference evaluator is
+      cross-checked against the bufferized LoSPN interpreter, the CPU
+      backend at every [-O] level on both engines (reference VM and
+      closure-compiled JIT) and the GPU simulator, and the two CPU
+      engines must agree {e bit-exactly} across [-O0..-O3] and worker
+      thread counts 1/2/4;
+    - [--sched-stress]: additionally random batch × pool × scheduler
+      draws and GPU stream counts, bit-identical to single-threaded;
+    - [--chaos]: deterministic fault-injection schedules, bit-identical
+      to the clean run or one clean structured diagnostic;
+    - [--smith]: grammar-generated HiSPN programs through every level,
+      engine and random legal pass ordering.
 
-    and additionally cross-checks the two CPU engines for {e bit-exact}
-    agreement across [-O0..-O3] and worker-thread counts 1/2/4 (disable
-    with [--no-cross-engine]).
-
-    A mismatch or crash is shrunk by structural reduction and written as
-    a reproducer bundle (model text, evidence data, diagnostic, replay
-    instructions).  Exit code is nonzero iff any case failed, so the run
-    gates CI.
+    Every finding prints a FAIL line and the [repro:] command replaying
+    its case alone ([--case]), is shrunk, and is written as a reproducer
+    bundle.  Exit code is nonzero iff any case failed, so the run gates
+    CI.
 
     {v
     spnc_fuzz --seed 7 --cases 200
@@ -72,18 +77,21 @@ let cpu_eval ~marginal ~engine threads level (model : Spnc_spn.Model.t)
   in
   Spnc.Compiler.execute (Spnc.Compiler.compile ~options model) data
 
+let gpu_options ~marginal streams =
+  {
+    (base_options ~marginal 1) with
+    Spnc.Options.target = Spnc.Options.Gpu;
+    batch_size = 16;
+    block_size = 8;
+    gpu_fallback = false;
+    streams;
+  }
+
 let gpu_eval ~marginal (model : Spnc_spn.Model.t) (data : float array array) :
     float array =
-  let options =
-    {
-      (base_options ~marginal 1) with
-      Spnc.Options.target = Spnc.Options.Gpu;
-      batch_size = 16;
-      block_size = 8;
-      gpu_fallback = false;
-    }
-  in
-  Spnc.Compiler.execute (Spnc.Compiler.compile ~options model) data
+  Spnc.Compiler.execute
+    (Spnc.Compiler.compile ~options:(gpu_options ~marginal 1) model)
+    data
 
 let oracles ~marginal ~threads ~with_gpu : Fuzz.oracle list =
   let vm l = cpu_eval ~marginal ~engine:Spnc_cpu.Jit.Vm threads l in
@@ -105,34 +113,15 @@ let oracles ~marginal ~threads ~with_gpu : Fuzz.oracle list =
 
 (* -- Cross-engine bit-identity ------------------------------------------------- *)
 
-let exact_eq (a : float array) (b : float array) =
-  Array.length a = Array.length b
-  && (let ok = ref true in
-      Array.iteri
-        (fun i x ->
-          if Int64.bits_of_float x <> Int64.bits_of_float b.(i) then ok := false)
-        a;
-      !ok)
-
 (* The tolerance-based oracles above catch algorithmic divergence; this
    check is stricter: at every -O level, the JIT engine and the VM must
    produce EXACTLY the same bits as single-threaded VM execution,
-   regardless of the worker-domain count.  Returns a diagnostic on the
-   first divergence, [None] when everything agrees.  A case where both
-   sides trap identically counts as agreement (the engines must also
-   agree on {e rejecting} malformed kernels). *)
+   regardless of the worker-domain count (both trapping agrees: the
+   engines must also agree on {e rejecting} malformed kernels). *)
 let bit_identity_check ~marginal (model : Spnc_spn.Model.t)
     (data : float array array) : string option =
   let eval engine threads level =
-    match cpu_eval ~marginal ~engine threads level model data with
-    | v -> Ok v
-    | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
-    | exception e -> Error (Printexc.to_string e)
-  in
-  let levels =
-    Spnc_cpu.Optimizer.[ O0; O1; O2; O3 ]
-  and variants =
-    Spnc_cpu.Jit.[ (Vm, 2); (Vm, 4); (Jit, 1); (Jit, 2); (Jit, 4) ]
+    Fuzz.capture (fun () -> cpu_eval ~marginal ~engine threads level model data)
   in
   let describe engine threads level =
     Printf.sprintf "%s-%s/threads=%d"
@@ -140,40 +129,17 @@ let bit_identity_check ~marginal (model : Spnc_spn.Model.t)
       (Spnc_cpu.Optimizer.level_to_string level)
       threads
   in
-  List.fold_left
-    (fun acc level ->
-      match acc with
-      | Some _ -> acc
-      | None -> (
-          let base = eval Spnc_cpu.Jit.Vm 1 level in
-          List.fold_left
-            (fun acc (engine, threads) ->
-              match acc with
-              | Some _ -> acc
-              | None -> (
-                  match (base, eval engine threads level) with
-                  | Ok b, Ok v when exact_eq b v -> None
-                  | Ok _, Ok _ ->
-                      Some
-                        (Printf.sprintf
-                           "bit-identity violation: %s differs from %s"
-                           (describe engine threads level)
-                           (describe Spnc_cpu.Jit.Vm 1 level))
-                  | Error _, Error _ -> None
-                  | Ok _, Error e ->
-                      Some
-                        (Printf.sprintf "%s trapped (%s) but %s succeeded"
-                           (describe engine threads level)
-                           e
-                           (describe Spnc_cpu.Jit.Vm 1 level))
-                  | Error e, Ok _ ->
-                      Some
-                        (Printf.sprintf "%s trapped (%s) but %s succeeded"
-                           (describe Spnc_cpu.Jit.Vm 1 level)
-                           e
-                           (describe engine threads level))))
-            None variants))
-    None levels
+  Spnc_cpu.Optimizer.[ O0; O1; O2; O3 ]
+  |> List.find_map (fun level ->
+         let base = eval Spnc_cpu.Jit.Vm 1 level in
+         Spnc_cpu.Jit.[ (Vm, 2); (Vm, 4); (Jit, 1); (Jit, 2); (Jit, 4) ]
+         |> List.find_map (fun (engine, threads) ->
+                Fuzz.compare Fuzz.Exact ~reference:base
+                  (eval engine threads level)
+                |> Option.map
+                     (Printf.sprintf "bit-identity: %s against %s: %s"
+                        (describe engine threads level)
+                        (describe Spnc_cpu.Jit.Vm 1 level))))
 
 (* -- Scheduler stress ---------------------------------------------------------- *)
 
@@ -188,104 +154,101 @@ let sched_stress_check ~marginal ~with_gpu ~salt (model : Spnc_spn.Model.t)
     (data : float array array) : string option =
   let rng = Spnc_data.Rng.create ~seed:salt in
   let eval options =
-    match Spnc.Compiler.execute (Spnc.Compiler.compile ~options model) data with
-    | v -> Ok v
-    | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
-    | exception e -> Error (Printexc.to_string e)
+    Fuzz.capture (fun () ->
+        Spnc.Compiler.execute (Spnc.Compiler.compile ~options model) data)
   in
-  let compare_to ~what reference candidate =
-    match (reference, candidate) with
-    | Ok r, Ok c when exact_eq r c -> None
-    | Ok _, Ok _ ->
-        Some
-          (Printf.sprintf
-             "scheduler stress: %s differs from the single-threaded reference"
-             what)
-    | Error _, Error _ -> None
-    | Ok _, Error e ->
-        Some (Printf.sprintf "scheduler stress: %s trapped (%s)" what e)
-    | Error e, Ok _ ->
-        Some
-          (Printf.sprintf
-             "scheduler stress: reference trapped (%s) but %s succeeded" e what)
+  let compare_to ~what reference options =
+    Fuzz.compare Fuzz.Exact ~reference (eval options)
+    |> Option.map (Printf.sprintf "scheduler stress: %s: %s" what)
   in
   let cpu_reference = eval (base_options ~marginal 1) in
-  let cpu_variant acc _ =
-    match acc with
-    | Some _ -> acc
-    | None ->
+  let cpu_failure =
+    List.find_map
+      (fun _ ->
         let batch = Spnc_data.Rng.choose rng [ 1; 3; 5; 8; 16; 32 ] in
         let threads = Spnc_data.Rng.choose rng [ 2; 3; 4; 8 ] in
         let sched =
           Spnc_data.Rng.choose rng Spnc.Options.[ Static; Stealing ]
         in
-        let options =
-          { (base_options ~marginal threads) with
-            Spnc.Options.batch_size = batch; sched }
-        in
         compare_to
           ~what:
             (Printf.sprintf "batch=%d/threads=%d/sched=%s" batch threads
                (Spnc.Options.sched_to_string sched))
-          cpu_reference (eval options)
+          cpu_reference
+          { (base_options ~marginal threads) with
+            Spnc.Options.batch_size = batch; sched })
+      [ 1; 2; 3; 4 ]
   in
-  let cpu_failure = List.fold_left cpu_variant None [ 1; 2; 3; 4 ] in
   match cpu_failure with
   | Some _ -> cpu_failure
   | None when not with_gpu -> None
   | None ->
-      let gpu_options streams =
-        {
-          (base_options ~marginal 1) with
-          Spnc.Options.target = Spnc.Options.Gpu;
-          batch_size = 16;
-          block_size = 8;
-          gpu_fallback = false;
-          streams;
-        }
-      in
-      let gpu_reference = eval (gpu_options 1) in
-      List.fold_left
-        (fun acc streams ->
-          match acc with
-          | Some _ -> acc
-          | None ->
-              compare_to
-                ~what:(Printf.sprintf "gpu streams=%d" streams)
-                gpu_reference
-                (eval (gpu_options streams)))
-        None [ 2; 4 ]
+      let gpu_reference = eval (gpu_options ~marginal 1) in
+      List.find_map
+        (fun streams ->
+          compare_to
+            ~what:(Printf.sprintf "gpu streams=%d against 1" streams)
+            gpu_reference
+            (gpu_options ~marginal streams))
+        [ 2; 4 ]
 
-(* -- Reporting ---------------------------------------------------------------- *)
+(* A check's finding, labelled with the configuration under test. *)
+let labelled pipeline check s rows =
+  Option.map (fun diag -> (pipeline, diag)) (check s rows)
 
-let data_to_csv (data : float array array) : string =
-  let buf = Buffer.create 256 in
-  Array.iter
-    (fun row ->
-      Buffer.add_string buf
-        (String.concat ","
-           (Array.to_list (Array.map (Printf.sprintf "%.17g") row)));
-      Buffer.add_char buf '\n')
-    data;
-  Buffer.contents buf
+(* -- Model mode ---------------------------------------------------------------- *)
 
-let write_bundle ~out_dir ~(case : Fuzz.case) ~(diag_text : string)
-    ~(shrunk : Spnc_spn.Model.t) ~(shrunk_data : float array array) =
-  let options_text =
-    Printf.sprintf "seed=%d case=%d tol-policy=differential" case.Fuzz.seed
-      case.Fuzz.id
+let run_models ~check_case ~seed ~first ~last ~rows ~target_ops ~max_depth ~tol
+    ~threads ~no_gpu ~sched_stress ~marginal_fraction ~verbose =
+  let config =
+    {
+      Fuzz.default_config with
+      Fuzz.rows;
+      target_ops;
+      max_depth;
+      marginal_fraction;
+    }
   in
-  Spnc_resilience.Reproducer.write ?dir:out_dir
-    ~extra:
-      [
-        ("model.txt", Spnc_spn.Text.to_string shrunk);
-        ("model-original.txt", Spnc_spn.Text.to_string case.Fuzz.model);
-        ("data.csv", data_to_csv shrunk_data);
-      ]
-    ~ir:"// differential fuzz failure: see model.txt / data.csv\n"
-    ~pipeline:
-      "(differential: reference vs lospn-interp vs vm/jit-O0..O3 vs gpu-sim)"
-    ~options:options_text ~diag:diag_text ()
+  let marginal = marginal_fraction > 0.0 in
+  let oracles = oracles ~marginal ~threads ~with_gpu:(not no_gpu) in
+  let failures = ref 0 in
+  let t0 = Unix.gettimeofday () in
+  for id = first to last do
+    let case = Fuzz.gen_case ~config ~seed ~id () in
+    if verbose then
+      Fmt.epr "case %d: %d nodes, %d rows@." id
+        (Spnc_spn.Model.node_count case.Fuzz.model)
+        (Array.length case.Fuzz.data);
+    let check pipeline c =
+      if
+        check_case Fuzz.model_subject ~tag:"FAIL" ~id ~shrink:true
+          (labelled pipeline c)
+          case.Fuzz.model case.Fuzz.data
+      then incr failures
+    in
+    check "(reference vs lospn-interp vs vm/jit-O0..O3 vs gpu-sim)"
+      (Fuzz.check ~tol ~oracles);
+    (* strict engine cross-check: VM and JIT must agree bit-for-bit at
+       every -O level and thread count (threads 1/2/4) *)
+    check "(vm-O* threads=1 vs vm/jit-O* threads=1/2/4, bit-exact)"
+      (bit_identity_check ~marginal);
+    (* streaming-layer stress: random batch × pool size × scheduler and
+       GPU streams 1/2/4, all bit-identical to single-threaded *)
+    if sched_stress then
+      check "(scheduler stress vs single-threaded, bit-exact)"
+        (sched_stress_check ~marginal ~with_gpu:(not no_gpu)
+           ~salt:((seed * 1_000_003) + id))
+  done;
+  let dt = Unix.gettimeofday () -. t0 in
+  let k = Spnc.Compiler.cache_counters () in
+  Fmt.pr
+    "spnc_fuzz: %d cases, %d failure(s), %d oracle(s) + engine \
+     bit-identity%s, %.1fs (kernel cache: %d hit(s), %d miss(es), %d full \
+     compile(s))@."
+    (last - first + 1) !failures (List.length oracles)
+    (if sched_stress then " + scheduler stress" else "")
+    dt k.Spnc.Compiler.hits k.Spnc.Compiler.misses k.Spnc.Compiler.full_compiles;
+  !failures
 
 (* -- Chaos mode ---------------------------------------------------------------- *)
 
@@ -315,23 +278,20 @@ let chaos_families =
     "repro.write_fail";
   ]
 
-type chaos_outcome = (float array * bool (* gpu->cpu fallback fired *), exn) result
+(* Outputs plus whether the GPU->CPU fallback fired, or the exception
+   (the clean-diagnostic set needs the exception itself). *)
+let chaos_eval options model data =
+  Fuzz.protect (fun () ->
+      let c = Spnc.Compiler.compile ~options model in
+      (Spnc.Compiler.execute c data, c.Spnc.Compiler.diags <> []))
 
-let chaos_eval options model data : chaos_outcome =
-  match Spnc.Compiler.compile ~options model with
-  | c -> (
-      match Spnc.Compiler.execute c data with
-      | v -> Ok (v, c.Spnc.Compiler.diags <> [])
-      | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
-      | exception e -> Error e)
-  | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
-  | exception e -> Error e
+let bit_exact a b = Fuzz.compare Fuzz.Exact ~reference:(Ok a) (Ok b) = None
 
 (* One chaos case: run a workload clean, then replay it bit-for-bit under
    a deterministic fault schedule.  The run must either agree with the
    clean output EXACTLY or surface one clean structured diagnostic —
    wrong bits are "silent corruption", an unlisted exception is a crash. *)
-let run_chaos seed cases rows no_gpu out_dir verbose =
+let run_chaos ~check_case ~seed ~first ~last ~rows ~no_gpu ~verbose =
   let cache_dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -340,20 +300,7 @@ let run_chaos seed cases rows no_gpu out_dir verbose =
   let failures = ref 0 in
   let fault_total = ref 0 in
   let t0 = Unix.gettimeofday () in
-  let fail ~id ~schedule ~model msg =
-    incr failures;
-    Fmt.epr "CHAOS FAIL case %d (seed %d): %s@." id seed msg;
-    (match
-       Spnc_resilience.Reproducer.write ?dir:out_dir
-         ~extra:[ ("model.txt", Spnc_spn.Text.to_string model) ]
-         ~ir:"// chaos-mode failure: see model.txt and options.txt\n"
-         ~pipeline:"(chaos: clean run vs fault-injected replay)"
-         ~options:schedule ~diag:msg ()
-     with
-    | Ok b -> Fmt.epr "reproducer written to %s@." b.Spnc_resilience.Reproducer.dir
-    | Error e -> Fmt.epr "(reproducer dump failed: %s)@." e)
-  in
-  for id = 0 to cases - 1 do
+  for id = first to last do
     let rng = Spnc_data.Rng.create ~seed:((seed * 7_368_787) + id) in
     (* workload: alternate the paper's speaker-ID shape and the fuzzer's
        adversarial random SPNs *)
@@ -430,72 +377,68 @@ let run_chaos seed cases rows no_gpu out_dir verbose =
         options.Spnc.Options.exec_retries
     in
     if verbose then Fmt.epr "case %d: %s@." id schedule;
-    (* clean references, faults disarmed.  For GPU cases also compute the
-       CPU reference: an injected GPU failure with fallback on yields a
-       CPU artifact, whose outputs must match the CPU reference bit-ford
-       bit — NOT the GPU one. *)
-    Fault.disarm ();
-    let clean = chaos_eval options model data in
-    let clean_cpu_fallback =
-      if use_gpu && gpu_fallback then
-        Some (chaos_eval { options with Spnc.Options.target = Spnc.Options.Cpu } model data)
-      else None
+    let verdict model data =
+      (* clean references, faults disarmed.  For GPU cases also compute
+         the CPU reference: an injected GPU failure with fallback on
+         yields a CPU artifact, whose outputs must match the CPU
+         reference bit for bit — NOT the GPU one. *)
+      Fault.disarm ();
+      let clean = chaos_eval options model data in
+      let clean_cpu_fallback =
+        if use_gpu && gpu_fallback then
+          Some
+            (chaos_eval
+               { options with Spnc.Options.target = Spnc.Options.Cpu }
+               model data)
+        else None
+      in
+      (* deterministic chaos replay: reset occurrence counters so the
+         case is self-contained (same schedule + workload => same
+         faults).  The memory cache is dropped so the replay recompiles
+         through the disk tier — read-side corruption faults then
+         exercise quarantine and the transparent recompile fallback. *)
+      Spnc.Compiler.reset_kernel_cache ();
+      Fault.reset_for_tests ();
+      Fault.arm ?points ~seed:chaos_seed ~rate ();
+      let chaotic = chaos_eval options model data in
+      Fault.disarm ();
+      List.iter
+        (fun p -> fault_total := !fault_total + Fault.fired_count p)
+        (Fault.points ());
+      match (clean, chaotic) with
+      | _, Error e when is_clean_diagnostic e ->
+          if verbose then
+            Fmt.epr "case %d: clean diagnostic (%s)@." id (Printexc.to_string e);
+          None
+      | _, Error e ->
+          Some ("crash: unstructured exception escaped: " ^ Printexc.to_string e)
+      | Error e, Ok _ ->
+          (* only plausible when the clean run timed out on a tight
+             deadline that the chaotic run (different scheduling) met;
+             anything else means the clean run itself is broken *)
+          if is_clean_diagnostic e then None
+          else
+            Some
+              ("clean run crashed without faults armed: " ^ Printexc.to_string e)
+      | Ok (c, _), Ok (v, fell_back) ->
+          let reference =
+            match clean_cpu_fallback with
+            | Some (Ok (cpu, _)) when fell_back -> cpu
+            | _ -> c
+          in
+          Fuzz.compare Fuzz.Exact ~reference:(Ok reference) (Ok v)
+          |> Option.map (( ^ ) "silent corruption, no diagnostic: ")
     in
-    (* deterministic chaos replay: reset occurrence counters so the case
-       is self-contained (same schedule + workload => same faults).  The
-       memory cache is dropped so the replay recompiles through the disk
-       tier — read-side corruption faults then exercise quarantine and
-       the transparent recompile fallback. *)
-    Spnc.Compiler.reset_kernel_cache ();
-    Fault.reset_for_tests ();
-    Fault.arm ?points ~seed:chaos_seed ~rate ();
-    let chaotic =
-      match chaos_eval options model data with
-      | r -> r
-      | exception e -> Error e
-      (* chaos_eval already catches; this belt-and-braces keeps the
-         harness alive even if the barrier itself is buggy *)
-    in
-    Fault.disarm ();
-    List.iter
-      (fun p -> fault_total := !fault_total + Fault.fired_count p)
-      (Fault.points ());
-    (match (clean, chaotic) with
-    | Ok (c, _), Ok (v, fb) ->
-        let matches_clean = exact_eq c v in
-        let matches_cpu_fallback =
-          fb
-          &&
-          match clean_cpu_fallback with
-          | Some (Ok (cc, _)) -> exact_eq cc v
-          | _ -> false
-        in
-        if not (matches_clean || matches_cpu_fallback) then
-          fail ~id ~schedule ~model
-            "silent corruption: fault-injected run produced different bits \
-             with no diagnostic"
-    | _, Error e when is_clean_diagnostic e ->
-        if verbose then
-          Fmt.epr "case %d: clean diagnostic (%s)@." id (Printexc.to_string e)
-    | _, Error e ->
-        fail ~id ~schedule ~model
-          (Printf.sprintf "crash: unstructured exception escaped: %s"
-             (Printexc.to_string e))
-    | Error e, Ok _ ->
-        (* only plausible when the clean run timed out on a tight
-           deadline that the chaotic run (different scheduling) met;
-           anything else means the clean run itself is broken *)
-        if not (is_clean_diagnostic e) then
-          fail ~id ~schedule ~model
-            (Printf.sprintf "clean run crashed without faults armed: %s"
-               (Printexc.to_string e)))
+    if
+      check_case Fuzz.model_subject ~tag:"CHAOS FAIL" ~id ~shrink:false
+        (labelled schedule verdict) model data
+    then incr failures
   done;
   (* recovery invariant: after every schedule ran, the cache directory
      must still be usable — a fresh process-equivalent (memory cache
      dropped) must load-or-recompile cleanly and agree with a cache-free
      compile bit-for-bit *)
   Fault.disarm ();
-  let recovery_failed = ref false in
   (let rng = Spnc_data.Rng.create ~seed in
    let model =
      Spnc_spn.Random_spn.generate_sized rng
@@ -525,7 +468,7 @@ let run_chaos seed cases rows no_gpu out_dir verbose =
    let disk_hits = (Spnc.Compiler.cache_counters ()).Spnc.Compiler.disk_hits in
    match (first, second, chaos_eval no_cache model data) with
    | Ok (a0, _), Ok (a, _), Ok (b, _)
-     when exact_eq a0 a && exact_eq a b && disk_hits >= 1 ->
+     when bit_exact a0 a && bit_exact a b && disk_hits >= 1 ->
        Fmt.pr "cache recovery: OK (%d entr(ies) live, %d quarantined)@."
          (match Spnc.Kcache.open_ ~dir:cache_dir ~max_mb:1 with
          | Ok t -> List.length (Spnc.Kcache.entry_keys t)
@@ -534,312 +477,190 @@ let run_chaos seed cases rows no_gpu out_dir verbose =
          | Ok t -> Spnc.Kcache.quarantined_count t
          | Error _ -> -1)
    | Ok _, Ok _, Ok _ ->
-       recovery_failed := true;
+       incr failures;
        Fmt.epr
          "CHAOS FAIL: post-chaos cached compile diverged from a cache-free \
           compile (or the disk tier served no hit)@."
    | _ ->
-       recovery_failed := true;
+       incr failures;
        Fmt.epr "CHAOS FAIL: post-chaos compile through the surviving cache \
                 directory failed@.");
-  if !recovery_failed then incr failures;
   let dt = Unix.gettimeofday () -. t0 in
   let d = Spnc.Kcache.counters () in
   Fmt.pr
     "spnc_fuzz --chaos: %d schedule(s), %d failure(s), %d injected fault(s), \
      %.1fs (disk cache: %d hit(s), %d miss(es), %d store(s), %d eviction(s), \
      %d corrupt, %d store failure(s))@."
-    cases !failures !fault_total dt d.Spnc.Kcache.hits d.Spnc.Kcache.misses
-    d.Spnc.Kcache.stores d.Spnc.Kcache.evictions d.Spnc.Kcache.corrupt
-    d.Spnc.Kcache.store_failures;
-  if !failures > 0 then exit_data else exit_ok
+    (last - first + 1) !failures !fault_total dt d.Spnc.Kcache.hits
+    d.Spnc.Kcache.misses d.Spnc.Kcache.stores d.Spnc.Kcache.evictions
+    d.Spnc.Kcache.corrupt d.Spnc.Kcache.store_failures;
+  !failures
 
 (* -- Smith mode: grammar-based pipeline fuzzing (docs/FUZZING.md) -------------- *)
 
-let smith_repro_command ~seed ~id ~cases ~rows ~target_ops ~max_depth
-    ~orderings =
-  Printf.sprintf
-    "spnc_fuzz --smith --seed %d --case %d --cases %d --rows %d --target-ops \
-     %d --max-depth %d --smith-orderings %d"
-    seed id cases rows target_ops max_depth orderings
-
-let write_smith_bundle ~out_dir ~(p : Smith.program) ~(f : Harness.failure)
-    ~(shrunk : Spnc_mlir.Ir.modul) ~(shrunk_data : float array array) ~repro =
-  Spnc_resilience.Reproducer.write ?dir:out_dir
-    ~extra:
-      [
-        ( "program-original.mlir",
-          Spnc_mlir.Printer.modul_to_string p.Smith.modul );
-        ("data.csv", Smith.data_to_csv shrunk_data);
-        ("repro-command.txt", repro ^ "\n");
-      ]
-    ~ir:(Spnc_mlir.Printer.modul_to_string shrunk)
-    ~pipeline:f.Harness.pipeline
-    ~options:repro
-    ~diag:(Fmt.str "%a" Harness.pp_failure f)
-    ()
-
-let run_smith ~seed ~cases ~rows ~target_ops ~max_depth ~tol ~orderings
-    ~forced_order ~explore ~passorder_out ~budget_s ~case_only ~corpus_dir
-    ~no_shrink ~out_dir ~inject ~verbose =
-  if inject then Spnc_cpu.Optimizer.inject_bad_peephole := true;
+let run_smith ~check_case ~seed ~first ~last ~rows ~target_ops ~max_depth ~tol
+    ~orderings ~forced_order ~explore ~passorder_out ~budget_s ~corpus_dir
+    ~verbose =
   (* a forced ordering is legality-gated up front: the CI canary feeds an
      intentionally mis-ordered pass pair here and asserts a loud failure *)
-  let forced_ok =
-    match forced_order with
-    | None -> true
-    | Some spec -> (
-        match Spnc.Pipelines.validate_pipeline spec with
-        | Ok () -> true
-        | Error e ->
-            Fmt.epr "ILLEGAL PIPELINE %S: %s@." spec e;
-            false)
-  in
-  if not forced_ok then exit_data
-  else begin
-    let config =
-      { Smith.default_config with Smith.rows; target_ops; max_depth }
-    in
-    let hconfig = { Harness.default_config with Harness.orderings; tol } in
-    let failures = ref 0 in
-    let programs = ref [] in
-    let ran = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    (match corpus_dir with
-    | Some d when not (Sys.file_exists d) -> Unix.mkdir d 0o755
-    | _ -> ());
-    let first, last =
-      match case_only with Some c -> (c, c) | None -> (0, cases - 1)
-    in
-    (try
-       for id = first to last do
-         if budget_s > 0.0 && Unix.gettimeofday () -. t0 > budget_s then
-           raise Exit;
-         let p = Smith.generate ~config ~seed ~id () in
-         incr ran;
-         if List.length !programs < 32 then programs := p :: !programs;
-         (match corpus_dir with
-         | Some d when id - first < 1000 ->
-             let oc =
-               open_out
-                 (Filename.concat d (Printf.sprintf "case_s%d_c%d.mlir" seed id))
-             in
-             output_string oc (Spnc_mlir.Printer.modul_to_string p.Smith.modul);
-             close_out oc
-         | _ -> ());
-         if verbose then
-           Fmt.epr "case %d: %d features, %d rows, space=%s, batch=%d@." id
-             p.Smith.num_features p.Smith.rows
-             (match p.Smith.space with
-             | Spnc_lospn.Lower_hispn.Auto -> "auto"
-             | Spnc_lospn.Lower_hispn.Force_linear -> "linear"
-             | Spnc_lospn.Lower_hispn.Force_log -> "log")
-             p.Smith.batch_size;
-         let failure =
-           match forced_order with
-           | Some spec -> (
-               (* forced mode: run the given full pipeline and compare its
-                  interp result against the baseline pipeline's *)
-               match
-                 ( Harness.run_pipeline ~pipeline:Harness.baseline_pipeline
-                     p.Smith.modul,
-                   Harness.run_pipeline ~pipeline:spec p.Smith.modul )
-               with
-               | Ok base, Ok forced -> (
-                   match
-                     ( Harness.eval_interp base p,
-                       Harness.eval_interp forced p )
-                   with
-                   | Ok a, Ok b when Harness.tol_eq ~tol a b -> None
-                   | Ok _, Ok _ ->
-                       Some
-                         {
-                           Harness.case_id = id;
-                           check = "ordering-divergence";
-                           pipeline = spec;
-                           detail = "forced ordering diverges from baseline";
-                         }
-                   | Error _, Error _ -> None
-                   | _, Error e | Error e, _ ->
-                       Some
-                         {
-                           Harness.case_id = id;
-                           check = "pipeline";
-                           pipeline = spec;
-                           detail = e;
-                         })
-               | _, Error e ->
-                   Some
-                     {
-                       Harness.case_id = id;
-                       check = "pipeline";
-                       pipeline = spec;
-                       detail = e;
-                     }
-               | Error e, _ ->
-                   Some
-                     {
-                       Harness.case_id = id;
-                       check = "pipeline";
-                       pipeline = Harness.baseline_pipeline;
-                       detail = e;
-                     })
-           | None -> Harness.check_program ~config:hconfig p
-         in
-         match failure with
-         | None -> ()
-         | Some f ->
-             incr failures;
-             let repro =
-               smith_repro_command ~seed ~id ~cases ~rows ~target_ops
-                 ~max_depth ~orderings
-             in
-             Fmt.epr "SMITH FAIL %a@.repro: %s@." Harness.pp_failure f repro;
-             let still_fails m d =
-               Harness.check_program ~config:hconfig
-                 { p with Smith.modul = m; data = d; rows = Array.length d }
-               <> None
-             in
-             let shrunk, shrunk_data =
-               if no_shrink || forced_order <> None then
-                 (p.Smith.modul, p.Smith.data)
-               else Shrink.shrink ~still_fails p.Smith.modul p.Smith.data
-             in
-             if not (no_shrink || forced_order <> None) then
-               Fmt.epr "shrunk: %d -> %d ops, %d -> %d rows@."
-                 (Shrink.count_ops p.Smith.modul)
-                 (Shrink.count_ops shrunk)
-                 (Array.length p.Smith.data)
-                 (Array.length shrunk_data);
-             (match
-                write_smith_bundle ~out_dir ~p ~f ~shrunk ~shrunk_data ~repro
-              with
-             | Ok b ->
-                 Fmt.epr "reproducer written to %s@."
-                   b.Spnc_resilience.Reproducer.dir
-             | Error e -> Fmt.epr "(reproducer dump failed: %s)@." e)
-       done
-     with Exit -> ());
-    (* pass-ordering exploration over a corpus sample *)
-    if explore then begin
-      let rng = Spnc_data.Rng.create ~seed:(seed + 997) in
-      let orders = Passorder.candidate_orders ~rng ~extra:4 in
-      let sample = List.rev !programs in
-      let scores = Harness.explore ~programs:sample ~orders in
-      Passorder.write_leaderboard ~path:passorder_out ~seed scores;
-      Fmt.pr "pass-ordering leaderboard (%d orderings over %d programs) -> %s@."
-        (List.length orders) (List.length sample) passorder_out;
-      match Passorder.best scores with
-      | Some s ->
-          Fmt.pr "best promotable ordering: %s (%d ops, %.4fs, %.0f cycles)@."
-            (Passorder.order_to_string s.Passorder.order)
-            s.Passorder.final_ops s.Passorder.compile_s s.Passorder.est_cycles
-      | None -> Fmt.pr "no bit-identical ordering found (nothing promotable)@."
-    end;
-    let dt = Unix.gettimeofday () -. t0 in
-    Fmt.pr
-      "spnc_fuzz --smith: %d program(s), %d failure(s), %d random legal \
-       ordering(s)/case, levels O0..O3, engines vm+jit, threads 1/%d, %.1fs@."
-      !ran !failures
-      (match forced_order with Some _ -> 0 | None -> orderings)
-      hconfig.Harness.threads dt;
-    if !failures > 0 then exit_data else exit_ok
-  end
+  match Option.map Spnc.Pipelines.validate_pipeline forced_order with
+  | Some (Error e) ->
+      Fmt.epr "ILLEGAL PIPELINE %S: %s@." (Option.get forced_order) e;
+      1
+  | _ ->
+      let config =
+        { Smith.default_config with Smith.rows; target_ops; max_depth }
+      in
+      let hconfig = { Harness.default_config with Harness.orderings; tol } in
+      let failures = ref 0 in
+      let programs = ref [] in
+      let ran = ref 0 in
+      let t0 = Unix.gettimeofday () in
+      (match corpus_dir with
+      | Some d when not (Sys.file_exists d) -> Unix.mkdir d 0o755
+      | _ -> ());
+      (try
+         for id = first to last do
+           if budget_s > 0.0 && Unix.gettimeofday () -. t0 > budget_s then
+             raise Exit;
+           let p = Smith.generate ~config ~seed ~id () in
+           incr ran;
+           if List.length !programs < 32 then programs := p :: !programs;
+           (match corpus_dir with
+           | Some d when id - first < 1000 ->
+               let oc =
+                 open_out
+                   (Filename.concat d
+                      (Printf.sprintf "case_s%d_c%d.mlir" seed id))
+               in
+               output_string oc (Spnc_mlir.Printer.modul_to_string p.Smith.modul);
+               close_out oc
+           | _ -> ());
+           if verbose then
+             Fmt.epr "case %d: %d features, %d rows, space=%s, batch=%d@." id
+               p.Smith.num_features p.Smith.rows
+               (match p.Smith.space with
+               | Spnc_lospn.Lower_hispn.Auto -> "auto"
+               | Spnc_lospn.Lower_hispn.Force_linear -> "linear"
+               | Spnc_lospn.Lower_hispn.Force_log -> "log")
+               p.Smith.batch_size;
+           let check modul data =
+             let p = { p with Smith.modul; data; rows = Array.length data } in
+             (match forced_order with
+             | Some pipeline -> Harness.check_forced ~config:hconfig ~pipeline p
+             | None -> Harness.check_program ~config:hconfig p)
+             |> Option.map (fun f ->
+                    (f.Harness.pipeline, Fmt.str "%a" Harness.pp_failure f))
+           in
+           if
+             check_case Shrink.subject ~tag:"SMITH FAIL" ~id
+               ~shrink:(forced_order = None) check p.Smith.modul p.Smith.data
+           then incr failures
+         done
+       with Exit -> ());
+      (* pass-ordering exploration over a corpus sample *)
+      if explore then begin
+        let rng = Spnc_data.Rng.create ~seed:(seed + 997) in
+        let orders = Passorder.candidate_orders ~rng ~extra:4 in
+        let sample = List.rev !programs in
+        let scores = Harness.explore ~programs:sample ~orders in
+        Passorder.write_leaderboard ~path:passorder_out ~seed scores;
+        Fmt.pr
+          "pass-ordering leaderboard (%d orderings over %d programs) -> %s@."
+          (List.length orders) (List.length sample) passorder_out;
+        match Passorder.best scores with
+        | Some s ->
+            Fmt.pr "best promotable ordering: %s (%d ops, %.4fs, %.0f cycles)@."
+              (Passorder.order_to_string s.Passorder.order)
+              s.Passorder.final_ops s.Passorder.compile_s s.Passorder.est_cycles
+        | None -> Fmt.pr "no bit-identical ordering found (nothing promotable)@."
+      end;
+      let dt = Unix.gettimeofday () -. t0 in
+      Fmt.pr
+        "spnc_fuzz --smith: %d program(s), %d failure(s), %d random legal \
+         ordering(s)/case, levels O0..O3, engines vm+jit, threads 1/%d, %.1fs@."
+        !ran !failures
+        (match forced_order with Some _ -> 0 | None -> orderings)
+        hconfig.Harness.threads dt;
+      !failures
 
 (* -- Driver ------------------------------------------------------------------- *)
 
 let run seed cases rows target_ops max_depth tol threads no_gpu no_shrink
-    no_cross_engine sched_stress chaos marginal_fraction out_dir inject verbose
-    smith smith_orderings smith_order smith_explore passorder_out budget_s
-    case_only corpus_dir =
-  try
-  if smith then
-    run_smith ~seed ~cases ~rows ~target_ops ~max_depth ~tol
-      ~orderings:smith_orderings ~forced_order:smith_order
-      ~explore:smith_explore ~passorder_out ~budget_s ~case_only ~corpus_dir
-      ~no_shrink ~out_dir ~inject ~verbose
-  else if chaos then run_chaos seed cases (max rows 8) no_gpu out_dir verbose
-  else begin
-  if inject then Spnc_cpu.Optimizer.inject_bad_peephole := true;
-  let config =
-    {
-      Fuzz.default_config with
-      Fuzz.rows;
-      target_ops;
-      max_depth;
-      marginal_fraction;
-    }
-  in
-  let marginal = marginal_fraction > 0.0 in
-  let oracles = oracles ~marginal ~threads ~with_gpu:(not no_gpu) in
-  let failures = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  let report ~id ~(case : Fuzz.case) ~diag_text ~still_fails =
-    incr failures;
-    Fmt.epr "FAIL case %d (seed %d): %s@." id seed diag_text;
-    let shrunk, shrunk_data =
-      if no_shrink then (case.Fuzz.model, case.Fuzz.data)
-      else Fuzz.shrink ~still_fails case.Fuzz.model case.Fuzz.data
+    sched_stress chaos marginal_fraction out_dir inject verbose smith
+    smith_orderings smith_order smith_explore passorder_out budget_s case_only
+    corpus_dir =
+  (* The command line that replays case [id] alone, with every knob the
+     mode reads. *)
+  let repro id =
+    let flag on name = if on then [ name ] else [] in
+    let int name v = [ name; string_of_int v ] in
+    let float name v =
+      let s = Printf.sprintf "%g" v in
+      [ name; (if float_of_string s = v then s else Printf.sprintf "%.17g" v) ]
     in
-    if not no_shrink then
-      Fmt.epr "shrunk: %d -> %d nodes, %d -> %d rows@."
-        (Spnc_spn.Model.node_count case.Fuzz.model)
-        (Spnc_spn.Model.node_count shrunk)
-        (Array.length case.Fuzz.data)
-        (Array.length shrunk_data);
-    match write_bundle ~out_dir ~case ~diag_text ~shrunk ~shrunk_data with
-    | Ok b -> Fmt.epr "reproducer written to %s@." b.Spnc_resilience.Reproducer.dir
-    | Error e -> Fmt.epr "(reproducer dump failed: %s)@." e
+    let shape =
+      int "--target-ops" target_ops
+      @ int "--max-depth" max_depth
+      @ float "--tol" tol
+    in
+    let mode, knobs =
+      if smith then
+        ( [ "--smith" ],
+          shape
+          @ int "--smith-orderings" smith_orderings
+          @ Option.fold ~none:[]
+              ~some:(fun o -> [ "--smith-order"; Filename.quote o ])
+              smith_order )
+      else if chaos then ([ "--chaos" ], flag no_gpu "--no-gpu")
+      else
+        ( [],
+          shape @ int "--threads" threads
+          @ float "--marginal-fraction" marginal_fraction
+          @ flag sched_stress "--sched-stress"
+          @ flag no_gpu "--no-gpu" )
+    in
+    String.concat " "
+      ((("spnc_fuzz" :: mode) @ int "--seed" seed @ int "--case" id)
+      @ int "--rows" rows @ knobs
+      @ flag inject "--inject-bad-peephole")
   in
-  for id = 0 to cases - 1 do
-    let case = Fuzz.gen_case ~config ~seed ~id () in
-    if verbose then
-      Fmt.epr "case %d: %d nodes, %d rows@." id
-        (Spnc_spn.Model.node_count case.Fuzz.model)
-        (Array.length case.Fuzz.data);
-    (match Fuzz.check_case ~tol ~oracles case with
-    | None -> ()
-    | Some failure ->
-        report ~id ~case
-          ~diag_text:(Fmt.str "%a" Fuzz.pp_failure_kind failure.Fuzz.kind)
-          ~still_fails:(fun m d -> Fuzz.check ~tol ~oracles m d <> None));
-    (* strict engine cross-check: VM and JIT must agree bit-for-bit at
-       every -O level and thread count (threads 1/2/4) *)
-    (if not no_cross_engine then
-       match bit_identity_check ~marginal case.Fuzz.model case.Fuzz.data with
-       | None -> ()
-       | Some diag_text ->
-           report ~id ~case ~diag_text ~still_fails:(fun m d ->
-               bit_identity_check ~marginal m d <> None));
-    (* streaming-layer stress: random batch × pool size × scheduler and
-       GPU streams 1/2/4, all bit-identical to single-threaded *)
-    if sched_stress then begin
-      let salt = (seed * 1_000_003) + id in
-      match
-        sched_stress_check ~marginal ~with_gpu:(not no_gpu) ~salt
-          case.Fuzz.model case.Fuzz.data
-      with
-      | None -> ()
-      | Some diag_text ->
-          report ~id ~case ~diag_text ~still_fails:(fun m d ->
-              sched_stress_check ~marginal ~with_gpu:(not no_gpu) ~salt m d
-              <> None)
-    end
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  let k = Spnc.Compiler.cache_counters () in
-  Fmt.pr
-    "spnc_fuzz: %d cases, %d failure(s), %d oracle(s)%s, %.1fs (kernel \
-     cache: %d hit(s), %d miss(es), %d full compile(s))@."
-    cases !failures (List.length oracles)
-    ((if no_cross_engine then "" else " + engine bit-identity")
-    ^ if sched_stress then " + scheduler stress" else "")
-    dt k.Spnc.Compiler.hits k.Spnc.Compiler.misses k.Spnc.Compiler.full_compiles;
-  if !failures > 0 then exit_data else exit_ok
-  end
+  (* The one failure path of every mode: [check] returns the
+     configuration under test and the diagnostic; a finding is reported,
+     shrunk against the same check, and bundled. *)
+  let check_case subject ~tag ~id ~shrink check s data =
+    match check s data with
+    | None -> false
+    | Some (pipeline, diag) ->
+        let still_fails s d = check s d <> None in
+        Fuzz.report ?dir:out_dir
+          ?still_fails:
+            (if shrink && not no_shrink then Some still_fails else None)
+          subject ~tag ~seed ~id ~repro:(repro id) ~pipeline ~diag s data;
+        true
+  in
+  let first, last =
+    match case_only with Some c -> (c, c) | None -> (0, cases - 1)
+  in
+  if inject then Spnc_cpu.Optimizer.inject_bad_peephole := true;
+  match
+    Fuzz.protect (fun () ->
+        if smith then
+          run_smith ~check_case ~seed ~first ~last ~rows ~target_ops
+            ~max_depth ~tol ~orderings:smith_orderings
+            ~forced_order:smith_order ~explore:smith_explore ~passorder_out
+            ~budget_s ~corpus_dir ~verbose
+        else if chaos then
+          run_chaos ~check_case ~seed ~first ~last ~rows:(max rows 8) ~no_gpu
+            ~verbose
+        else
+          run_models ~check_case ~seed ~first ~last ~rows ~target_ops
+            ~max_depth ~tol ~threads ~no_gpu ~sched_stress ~marginal_fraction
+            ~verbose)
   with
-  | (Stack_overflow | Out_of_memory) as e -> raise e
-  | e ->
+  | Ok 0 -> exit_ok
+  | Ok _ -> exit_data
+  | Error e ->
       (* EX_SOFTWARE: the harness itself crashed — distinct from finding
          failures in the system under test (EX_DATAERR) *)
       Fmt.epr "spnc_fuzz: internal error: %s@.%s@." (Printexc.to_string e)
@@ -875,14 +696,6 @@ let cmd =
   in
   let no_shrink =
     Arg.(value & flag & info [ "no-shrink" ] ~doc:"Report failures unshrunk.")
-  in
-  let no_cross_engine =
-    Arg.(
-      value & flag
-      & info [ "no-cross-engine" ]
-          ~doc:
-            "Skip the VM-vs-JIT bit-identity cross-check over -O levels and \
-             thread counts.")
   in
   let sched_stress =
     Arg.(
@@ -979,7 +792,8 @@ let cmd =
     Arg.(
       value & opt (some int) None
       & info [ "case" ] ~docv:"ID"
-          ~doc:"Replay exactly one case id (reproducer bundles print this).")
+          ~doc:"Replay exactly one case id, in any mode (every FAIL is followed \
+                by the repro: command that does this).")
   in
   let corpus_dir =
     Arg.(
@@ -996,7 +810,7 @@ let cmd =
           (EX_SOFTWARE).")
     Term.(
       const run $ seed $ cases $ rows $ target_ops $ max_depth $ tol $ threads
-      $ no_gpu $ no_shrink $ no_cross_engine $ sched_stress $ chaos $ marginal
+      $ no_gpu $ no_shrink $ sched_stress $ chaos $ marginal
       $ out_dir $ inject $ verbose $ smith $ smith_orderings $ smith_order
       $ smith_explore $ passorder_out $ budget_s $ case_only $ corpus_dir)
 

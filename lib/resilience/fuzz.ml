@@ -1,13 +1,16 @@
-(** Differential fuzzing harness (MLIR-Smith style, PAPERS.md).
+(** Differential fuzzing (MLIR-Smith style, PAPERS.md).
 
     Generates random well-formed SPNs — seeded, size/depth-parameterized,
     with Gaussian, categorical and histogram leaves — plus matching
     evidence data, and cross-checks a list of {e oracles} (compiled
     kernels, interpreters, simulators) against the reference evaluator
-    [Spnc_spn.Infer].  A disagreement or a crash is a {!failure}; the
-    {!shrink} routine then reduces the model structurally (and the data
-    by rows) while the failure persists, so the reproducer bundle carries
-    a minimal case.
+    [Spnc_spn.Infer].
+
+    It also holds the differential core every [spnc_fuzz] mode shares,
+    whatever generates its subjects (models here, HiSPN programs in
+    [lib/smith]): one exception barrier ({!capture}), one comparator
+    ({!compare}), one greedy shrink loop ({!shrink}) and one failure
+    report with its reproducer bundle ({!report}).
 
     The module deliberately does not depend on the compiler: oracles are
     plain functions, wired up by [bin/spnc_fuzz] (and the test suite), so
@@ -170,80 +173,88 @@ let gen_case ?(config = default_config) ~seed ~id () : case =
   let data = gen_data rng config var_kinds in
   { id; seed; config; var_kinds; model; data }
 
-(* -- Differential checking --------------------------------------------------- *)
+(* -- Differential core -------------------------------------------------------- *)
 
-type oracle = {
-  oracle_name : string;
-  eval : Model.t -> float array array -> float array;
-      (** log-likelihood per row; exceptions are captured as crashes *)
-}
+type outcome = (float array, string) result
 
-type failure_kind =
-  | Mismatch of { oracle : string; row : int; expected : float; got : float }
-  | Crash of { oracle : string; diag : Diag.t }
+let protect f =
+  match f () with
+  | v -> Ok v
+  | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
+  | exception e -> Error e
 
-type failure = { case : case; kind : failure_kind }
+let capture f : outcome = Result.map_error Printexc.to_string (protect f)
 
-let pp_failure_kind ppf = function
-  | Mismatch { oracle; row; expected; got } ->
-      Fmt.pf ppf "oracle %s disagrees at row %d: reference %.12g, got %.12g"
-        oracle row expected got
-  | Crash { oracle; diag } ->
-      Fmt.pf ppf "oracle %s crashed: %a" oracle Diag.pp diag
+type tier = Exact | Tol of float
 
-(** The correctness reference: the memoized log-space DAG evaluator. *)
-let reference (m : Model.t) (data : float array array) : float array =
-  Infer.log_likelihood_batch m data
+let agree tier r got =
+  match tier with
+  | Exact -> Int64.equal (Int64.bits_of_float r) (Int64.bits_of_float got)
+  | Tol tol ->
+      if Float.is_nan r || Float.is_nan got then
+        Float.is_nan r && Float.is_nan got
+      else if Float.is_finite r && Float.is_finite got then
+        Float.abs (got -. r) <= tol *. Float.max 1.0 (Float.abs r)
+      else r = got
 
-let default_tol = 1e-6
+(** [compare tier ~reference got] — [None] on agreement, else the first
+    differing row with both values; two errors agree, one error is a
+    finding. *)
+let compare tier ~(reference : outcome) (got : outcome) : string option =
+  match (reference, got) with
+  | Error _, Error _ -> None
+  | Ok _, Error e -> Some ("trapped where the reference succeeded: " ^ e)
+  | Error e, Ok _ -> Some ("succeeded where the reference trapped: " ^ e)
+  | Ok r, Ok g when Array.length r <> Array.length g ->
+      Some
+        (Printf.sprintf "reference has %d rows, got %d" (Array.length r)
+           (Array.length g))
+  | Ok r, Ok g ->
+      Seq.init (Array.length r) Fun.id
+      |> Seq.find (fun i -> not (agree tier r.(i) g.(i)))
+      |> Option.map (fun i ->
+             Printf.sprintf "row %d: reference %.17g, got %.17g" i r.(i) g.(i))
 
-(* |a - b| within tol, scaled by the reference magnitude; two
-   log-underflows on both sides agree by convention. *)
-let within_tol ~tol expected got =
-  if expected = got then true
-  else if Float.is_nan expected || Float.is_nan got then false
-  else Float.abs (got -. expected) <= tol *. Float.max 1.0 (Float.abs expected)
+(* Row reductions: halves, then single rows. *)
+let row_candidates (rows : float array array) : float array array list =
+  let n = Array.length rows in
+  if n <= 1 then []
+  else
+    [ Array.sub rows 0 ((n + 1) / 2); Array.sub rows ((n + 1) / 2) (n / 2) ]
+    @ List.init (min n 4) (fun i -> [| rows.(i) |])
 
-(** [check ?tol ~oracles model data] — first failure across all oracles,
-    in order, or [None] if every oracle matches the reference. *)
-let check ?(tol = default_tol) ~(oracles : oracle list) (model : Model.t)
-    (data : float array array) : failure_kind option =
-  let expected = reference model data in
-  let check_one (o : oracle) : failure_kind option =
-    match o.eval model data with
-    | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        Some (Crash { oracle = o.oracle_name; diag = Diag.of_exn e bt })
-    | got ->
-        if Array.length got <> Array.length expected then
-          Some
-            (Crash
-               {
-                 oracle = o.oracle_name;
-                 diag =
-                   Diag.error
-                     (Printf.sprintf "oracle returned %d results for %d rows"
-                        (Array.length got) (Array.length expected));
-               })
-        else
-          let bad = ref None in
-          Array.iteri
-            (fun i e ->
-              if !bad = None && not (within_tol ~tol e got.(i)) then
-                bad :=
-                  Some
-                    (Mismatch
-                       { oracle = o.oracle_name; row = i; expected = e;
-                         got = got.(i) }))
-            expected;
-          !bad
+(** [shrink ?max_steps ~candidates ~still_fails subject rows] — greedy:
+    repeatedly adopt the first subject reduction, else the first row
+    reduction, on which [still_fails] holds, until none does or the
+    predicate budget runs out. *)
+let shrink ?(max_steps = 64) ~candidates ~still_fails subject rows =
+  let steps = ref 0 in
+  let fails s r =
+    !steps < max_steps
+    && begin
+         incr steps;
+         Result.value ~default:false (protect (fun () -> still_fails s r))
+       end
   in
-  List.find_map check_one oracles
+  let rec go s r =
+    match List.find_opt (fun s' -> fails s' r) (candidates s) with
+    | Some s' -> go s' r
+    | None -> (
+        match List.find_opt (fails s) (row_candidates r) with
+        | Some r' -> go s r'
+        | None -> (s, r))
+  in
+  go subject rows
 
-let check_case ?tol ~oracles (c : case) : failure option =
-  Option.map (fun kind -> { case = c; kind }) (check ?tol ~oracles c.model c.data)
-
-(* -- Shrinking ---------------------------------------------------------------- *)
+type 'a subject = {
+  name : string;
+  ext : string;
+  size_unit : string;
+  size : 'a -> int;
+  print : 'a -> string;
+  candidates : 'a -> 'a list;
+  max_steps : int;
+}
 
 (* Rebuild the DAG with the node [target] replaced by [repl]; sharing is
    preserved through the memo table. *)
@@ -270,7 +281,7 @@ let replace (m : Model.t) ~(target : int) ~(repl : Model.node) : Model.t =
 (* Structural reduction candidates: every inner node replaced by each of
    its children, valid (smooth/decomposable) results only, ordered by
    node count so the biggest reductions are tried first. *)
-let candidates (m : Model.t) : Model.t list =
+let model_candidates (m : Model.t) : Model.t list =
   let variants = ref [] in
   Model.iter_unique
     (fun n ->
@@ -285,38 +296,88 @@ let candidates (m : Model.t) : Model.t list =
       | _ -> ())
     m;
   List.sort
-    (fun a b -> compare (Model.node_count a) (Model.node_count b))
+    (fun a b -> Int.compare (Model.node_count a) (Model.node_count b))
     !variants
 
-(* Row reductions: halves, then single rows. *)
-let data_candidates (data : float array array) : float array array list =
-  let n = Array.length data in
-  if n <= 1 then []
-  else
-    [ Array.sub data 0 ((n + 1) / 2); Array.sub data ((n + 1) / 2) (n / 2) ]
-    @ List.init (min n 4) (fun i -> [| data.(i) |])
+let model_subject =
+  {
+    name = "model";
+    ext = "txt";
+    size_unit = "nodes";
+    size = Model.node_count;
+    print = Spnc_spn.Text.to_string;
+    candidates = model_candidates;
+    max_steps = 64;
+  }
 
-(** [shrink ?max_steps ~still_fails model data] — greedy structural
-    reduction: repeatedly adopt the smallest variant (or row subset) on
-    which [still_fails] holds, until no candidate fails or the predicate
-    budget runs out.  Returns the reduced (model, data). *)
-let shrink ?(max_steps = 64) ~still_fails (model : Model.t)
-    (data : float array array) : Model.t * float array array =
-  let steps = ref 0 in
-  let try_pred m d =
-    if !steps >= max_steps then false
-    else begin
-      incr steps;
-      match still_fails m d with b -> b | exception _ -> false
-    end
+(* One evidence row per line, hex floats so the bundle replays the exact
+   bits. *)
+let data_to_csv (rows : float array array) : string =
+  String.concat ""
+    (Array.to_list
+       (Array.map
+          (fun row ->
+            String.concat ","
+              (Array.to_list (Array.map (Printf.sprintf "%h") row))
+            ^ "\n")
+          rows))
+
+(** [report ?dir ?still_fails subject ~tag ~seed ~id ~repro ~pipeline
+    ~diag s rows] — FAIL and [repro:] lines, optional shrink with its
+    [shrunk:] line, then one reproducer bundle. *)
+let report ?dir ?still_fails (subject : 'a subject) ~tag ~seed ~id ~repro
+    ~pipeline ~diag (s : 'a) rows =
+  Fmt.epr "%s case %d (seed %d): %s@.repro: %s@." tag id seed diag repro;
+  let shrunk, shrunk_rows =
+    match still_fails with
+    | None -> (s, rows)
+    | Some still_fails ->
+        let ((s', rows') as r) =
+          shrink ~max_steps:subject.max_steps ~candidates:subject.candidates
+            ~still_fails s rows
+        in
+        Fmt.epr "shrunk: %d -> %d %s, %d -> %d rows@." (subject.size s)
+          (subject.size s') subject.size_unit (Array.length rows)
+          (Array.length rows');
+        r
   in
-  let rec reduce_model m d =
-    match List.find_opt (fun m' -> try_pred m' d) (candidates m) with
-    | Some m' when Model.node_count m' < Model.node_count m -> reduce_model m' d
-    | _ -> reduce_data m d
-  and reduce_data m d =
-    match List.find_opt (fun d' -> try_pred m d') (data_candidates d) with
-    | Some d' -> reduce_data m d'
-    | None -> (m, d)
-  in
-  reduce_model model data
+  let file = subject.name ^ "." ^ subject.ext in
+  match
+    Reproducer.write ?dir
+      ~extra:
+        [
+          (file, subject.print shrunk);
+          (subject.name ^ "-original." ^ subject.ext, subject.print s);
+          ("data.csv", data_to_csv shrunk_rows);
+          ("repro-command.txt", repro ^ "\n");
+        ]
+      ~ir:(Printf.sprintf "// fuzz finding: the shrunk subject is %s\n" file)
+      ~pipeline ~options:repro ~diag ()
+  with
+  | Ok b -> Fmt.epr "reproducer written to %s@." b.Reproducer.dir
+  | Error e -> Fmt.epr "(reproducer dump failed: %s)@." e
+
+(* -- Model-level oracles ------------------------------------------------------ *)
+
+type oracle = {
+  oracle_name : string;
+  eval : Model.t -> float array array -> float array;
+      (** log-likelihood per row; exceptions are captured as errors *)
+}
+
+(** The correctness reference: the memoized log-space DAG evaluator. *)
+let reference (m : Model.t) (data : float array array) : float array =
+  Infer.log_likelihood_batch m data
+
+let default_tol = 1e-6
+
+(** [check ?tol ~oracles model data] — first oracle, in order, that
+    disagrees with the reference, or [None]. *)
+let check ?(tol = default_tol) ~(oracles : oracle list) (model : Model.t)
+    (data : float array array) : string option =
+  let reference = capture (fun () -> reference model data) in
+  List.find_map
+    (fun o ->
+      compare (Tol tol) ~reference (capture (fun () -> o.eval model data))
+      |> Option.map (Printf.sprintf "oracle %s: %s" o.oracle_name))
+    oracles

@@ -9,15 +9,17 @@
       {!Spnc_lospn.Interp} evaluation is the semantic reference;
     - across -O0..-O3 × VM/JIT × 1/2 threads the CPU backend is
       bit-identical to the level's VM single-thread run and within
-      tolerance of the reference (trap classes must match: if one
-      engine fails, all must fail);
+      tolerance of the reference;
     - across randomized legal pass orderings ({!Passorder}) the interp
       result stays within tolerance of the reference and one
       seed-chosen (level, VM-vs-JIT) pair stays bit-identical.
 
-    Any violation is a structured {!failure} carrying the pipeline
-    string and detail text; [bin/spnc_fuzz --smith] shrinks the program
-    ({!Shrink}) and writes a reproducer bundle. *)
+    Outputs are compared by the shared differential core
+    ([Spnc_resilience.Fuzz.compare]: [Exact] or [Tol], with its
+    trap-class rule).  Any violation is a structured {!failure}
+    carrying the pipeline string and the comparator's detail;
+    [bin/spnc_fuzz --smith] shrinks the program ({!Shrink.subject})
+    and writes a reproducer bundle. *)
 
 open Spnc_mlir
 module Rng = Spnc_data.Rng
@@ -26,17 +28,16 @@ module Interp = Spnc_lospn.Interp
 module Optimizer = Spnc_cpu.Optimizer
 module Exec = Spnc_runtime.Exec
 module Pool = Spnc_runtime.Pool
+module Fuzz = Spnc_resilience.Fuzz
 
 type failure = {
-  case_id : int;
   check : string;  (** which invariant broke (see docs/FUZZING.md) *)
   pipeline : string;  (** pipeline / configuration under test *)
   detail : string;
 }
 
 let pp_failure ppf (f : failure) =
-  Fmt.pf ppf "case %d [%s] pipeline=%s: %s" f.case_id f.check f.pipeline
-    f.detail
+  Fmt.pf ppf "[%s] pipeline=%s: %s" f.check f.pipeline f.detail
 
 type config = {
   orderings : int;  (** random legal pipelines checked per program *)
@@ -46,59 +47,16 @@ type config = {
 
 let default_config = { orderings = 5; tol = 1e-6; threads = 2 }
 
-(* -- Output comparison ------------------------------------------------------- *)
-
-let exact_eq (a : float array) (b : float array) =
-  Array.length a = Array.length b
-  && (let eq = ref true in
-      Array.iteri
-        (fun i x ->
-          if Int64.bits_of_float x <> Int64.bits_of_float b.(i) then
-            eq := false)
-        a;
-      !eq)
-
-(* Tolerant compare for cross-pipeline checks: NaN matches NaN, ±inf
-   matches the same infinity, finite values within relative [tol].
-   Log-space outputs reach magnitudes like -5e11 (a far-off-data
-   near-singular Gaussian), so the comparison must be relative. *)
-let tol_eq ~tol (a : float array) (b : float array) =
-  Array.length a = Array.length b
-  && (let eq = ref true in
-      Array.iteri
-        (fun i x ->
-          let y = b.(i) in
-          let ok =
-            if Float.is_nan x then Float.is_nan y
-            else if Float.is_nan y then false
-            else if x = y then true (* covers equal infinities *)
-            else if not (Float.is_finite x) || not (Float.is_finite y) then
-              false (* opposite infinities: |x - y| = inf <= tol * inf holds *)
-            else
-              Float.abs (x -. y)
-              <= tol *. Float.max 1.0 (Float.max (Float.abs x) (Float.abs y))
-          in
-          if not ok then eq := false)
-        a;
-      !eq)
-
-let pp_outcome ppf = function
-  | Ok out ->
-      Fmt.pf ppf "ok [%s]"
-        (String.concat "; "
-           (Array.to_list (Array.map (Printf.sprintf "%h") out)))
-  | Error e -> Fmt.pf ppf "error: %s" e
-
 (* -- Pipeline execution ------------------------------------------------------ *)
 
-(** [run_pipeline ~pipeline m] — parse, legality-check and run a textual
-    pipeline over [m] with the verifier after every pass. *)
-let run_pipeline ~(pipeline : string) (m : Ir.modul) :
+(* Parse, legality-check (from stage [start]) and run a textual pipeline
+   over [m] with the verifier after every pass. *)
+let run_pipeline ?(start = "hispn") ~(pipeline : string) (m : Ir.modul) :
     (Ir.modul, string) result =
   match Pipelines.parse_pipeline pipeline with
   | Error e -> Error ("invalid pipeline: " ^ e)
   | Ok passes -> (
-      match Pass.validate_ordering ~start:"hispn" passes with
+      match Pass.validate_ordering ~start passes with
       | Error e -> Error e
       | Ok () -> (
           match
@@ -171,11 +129,11 @@ let eval_cpu ?pool ~engine ~threads ~out_cols (lir : Spnc_cpu.Lir.modul)
 
 (* -- The differential check -------------------------------------------------- *)
 
-let baseline_pipeline =
-  "lower-to-lospn,"
-  ^ String.concat "," Pipelines.default_lospn_opt_order
+let opt_suffix =
+  String.concat "," Pipelines.default_lospn_opt_order
   ^ ",lospn-bufferize,lospn-buffer-opt"
 
+let baseline_pipeline = "lower-to-lospn," ^ opt_suffix
 let levels = Optimizer.[ O0; O1; O2; O3 ]
 
 let space_flag (p : Smith.program) =
@@ -206,190 +164,146 @@ let lower_with_space (p : Smith.program) (m : Ir.modul) :
   | Invalid_argument e -> Error ("lower-to-lospn invalid_argument: " ^ e)
   | Failure e -> Error ("lower-to-lospn failure: " ^ e)
 
-(* Run a pipeline suffix (post-lowering, i.e. starting at the "lospn"
-   stage) textually with verify-each. *)
-let run_suffix ~(pipeline : string) (m : Ir.modul) : (Ir.modul, string) result
-    =
-  match Pipelines.parse_pipeline pipeline with
-  | Error e -> Error ("invalid pipeline: " ^ e)
-  | Ok passes -> (
-      match Pass.validate_ordering ~start:"lospn" passes with
-      | Error e -> Error e
-      | Ok () -> (
-          match
-            Pass.run_pipeline_checked ~verify_each:true ~dump_policy:No_dump
-              passes m
-          with
-          | Ok r -> Ok r.Pass.modul
-          | Error f ->
-              Error
-                (Fmt.str "pass %s: %s" f.Pass.failed_pass
-                   f.Pass.diag.Pass.Diag.message)))
+(* A post-lowering pipeline suffix, starting at the "lospn" stage. *)
+let run_suffix = run_pipeline ~start:"lospn"
 
-let opt_suffix =
-  String.concat "," Pipelines.default_lospn_opt_order
-  ^ ",lospn-bufferize,lospn-buffer-opt"
+let ( let* ) = Result.bind
+
+let rec each f = function
+  | [] -> Ok ()
+  | x :: rest ->
+      let* () = f x in
+      each f rest
+
+(* A failed compile step, labelled with the pipeline under test. *)
+let step pipeline r =
+  Result.map_error (fun detail -> { check = "pipeline"; pipeline; detail }) r
+
+(* One comparison against the differential core. *)
+let agree tier check pipeline ~reference out =
+  match Fuzz.compare tier ~reference out with
+  | None -> Ok ()
+  | Some detail -> Error { check; pipeline; detail }
 
 (** [check_program ?config p] — the full differential check; [None] when
     every invariant holds.  Deterministic: the ordering draws derive
     from the program's own (seed, id). *)
 let check_program ?(config = default_config) (p : Smith.program) :
     failure option =
-  let fail check pipeline detail = Some { case_id = p.Smith.id; check; pipeline; detail } in
+  let fail check detail = Error { check; pipeline = "-"; detail } in
   let rng =
     (* independent stream from the generator's: offset the case id *)
     Rng.create ~seed:((p.Smith.seed * 7_368_787) + p.Smith.id + 1)
   in
-  (* 1. verifier *)
-  match Verifier.verify p.Smith.modul with
-  | _ :: _ as errs ->
-      fail "verify" "-" (Verifier.errors_to_string errs)
-  | [] -> (
-      (* 2. printer/parser round-trip: print, parse, print again — the
-         two texts must be byte-identical *)
-      let printed = Printer.modul_to_string p.Smith.modul in
-      let reparse =
-        match Parser.modul_of_string printed with
-        | m -> Ok m
-        | exception Parser.Error e -> Error ("parse: " ^ e)
-        | exception Lexer.Error e -> Error ("lex: " ^ e)
-      in
-      match reparse with
-      | Error e -> fail "roundtrip" "-" e
-      | Ok reparsed
-        when not (String.equal printed (Printer.modul_to_string reparsed)) ->
-          fail "roundtrip" "-" "reprinted IR differs from first print"
-      | Ok _ -> (
-          (* 3. baseline lowering (honouring the program's space draw)
-             and reference evaluation *)
-          match lower_with_space p p.Smith.modul with
-          | Error e -> fail "pipeline" ("lower-to-lospn space=" ^ space_flag p) e
-          | Ok lo -> (
-              match run_suffix ~pipeline:opt_suffix lo with
-              | Error e -> fail "pipeline" opt_suffix e
-              | Ok lb0 -> (
-                  let reference = eval_interp lb0 p in
-                  let out_cols = out_cols_of_lospn lb0 in
-                  let pool =
-                    if config.threads > 1 then
-                      Some (Pool.global ~threads:config.threads)
-                    else None
-                  in
-                  (* 4. -O0..-O3 × VM/JIT × threads on the baseline *)
-                  let rec sweep_levels = function
-                    | [] -> None
-                    | level :: rest -> (
-                        let lstr = Optimizer.level_to_string level in
-                        match lower_lir ~level lb0 with
-                        | Error e ->
-                            fail "pipeline"
-                              (Printf.sprintf "%s,%s" baseline_pipeline lstr)
-                              e
-                        | Ok lir -> (
-                            let base =
-                              eval_cpu ~engine:Spnc_cpu.Jit.Vm ~threads:1
-                                ~out_cols lir p
-                            in
-                            let variants =
-                              [
-                                ("jit-t1", Spnc_cpu.Jit.Jit, 1);
-                                ("vm-t2", Spnc_cpu.Jit.Vm, config.threads);
-                                ("jit-t2", Spnc_cpu.Jit.Jit, config.threads);
-                              ]
-                            in
-                            let mismatch =
-                              List.find_map
-                                (fun (vname, engine, threads) ->
-                                  let out =
-                                    eval_cpu ?pool ~engine ~threads ~out_cols
-                                      lir p
-                                  in
-                                  match (base, out) with
-                                  | Ok a, Ok b when exact_eq a b -> None
-                                  | Error _, Error _ -> None
-                                  | _ ->
-                                      fail "bit-identity"
-                                        (Printf.sprintf "%s %s vm-t1-vs-%s"
-                                           baseline_pipeline lstr vname)
-                                        (Fmt.str "vm-t1 %a but %s %a"
-                                           pp_outcome base vname pp_outcome
-                                           out))
-                                variants
-                            in
-                            match mismatch with
-                            | Some _ as f -> f
-                            | None -> (
-                                (* trap-class + tolerance vs. reference *)
-                                match (reference, base) with
-                                | Ok r, Ok o when tol_eq ~tol:config.tol r o ->
-                                    sweep_levels rest
-                                | Error _, Error _ -> sweep_levels rest
-                                | _ ->
-                                    fail "reference"
-                                      (Printf.sprintf "%s %s vm-t1"
-                                         baseline_pipeline lstr)
-                                      (Fmt.str "interp %a but vm %a" pp_outcome
-                                         reference pp_outcome base))))
-                  in
-                  match sweep_levels levels with
-                  | Some _ as f -> f
-                  | None -> (
-                      (* 5. randomized legal pass orderings *)
-                      let rec orderings k =
-                        if k = 0 then None
-                        else
-                          let pl = Passorder.random_pipeline rng in
-                          (* the first element is lower-to-lospn; run the
-                             suffix on the space-honouring lowering so
-                             the ordering varies while the datatype
-                             decision stays the program's own *)
-                          let suffix =
-                            String.concat "," (List.tl pl)
-                          in
-                          let pstr = Passorder.pipeline_to_string pl in
-                          match run_suffix ~pipeline:suffix lo with
-                          | Error e -> fail "pipeline" pstr e
-                          | Ok lbk -> (
-                              let outk = eval_interp lbk p in
-                              match (reference, outk) with
-                              | Ok r, Ok o when not (tol_eq ~tol:config.tol r o)
-                                ->
-                                  fail "ordering-divergence" pstr
-                                    (Fmt.str "baseline interp %a but %a"
-                                       pp_outcome reference pp_outcome outk)
-                              | Ok _, Error e | Error e, Ok _ ->
-                                  fail "ordering-divergence" pstr
-                                    ("trap class differs from baseline: " ^ e)
-                              | _ -> (
-                                  (* one seed-chosen level, both engines *)
-                                  let level = Rng.choose rng levels in
-                                  let lstr = Optimizer.level_to_string level in
-                                  let ck = out_cols_of_lospn lbk in
-                                  match lower_lir ~level lbk with
-                                  | Error e ->
-                                      fail "pipeline"
-                                        (Printf.sprintf "%s,%s" pstr lstr) e
-                                  | Ok lir -> (
-                                      let vm =
-                                        eval_cpu ~engine:Spnc_cpu.Jit.Vm
-                                          ~threads:1 ~out_cols:ck lir p
-                                      in
-                                      let jit =
-                                        eval_cpu ~engine:Spnc_cpu.Jit.Jit
-                                          ~threads:1 ~out_cols:ck lir p
-                                      in
-                                      match (vm, jit) with
-                                      | Ok a, Ok b when exact_eq a b ->
-                                          orderings (k - 1)
-                                      | Error _, Error _ -> orderings (k - 1)
-                                      | _ ->
-                                          fail "bit-identity"
-                                            (Printf.sprintf "%s %s vm-vs-jit"
-                                               pstr lstr)
-                                            (Fmt.str "vm %a but jit %a"
-                                               pp_outcome vm pp_outcome jit))))
-                      in
-                      orderings config.orderings)))))
+  let tol = Fuzz.Tol config.tol in
+  let checked =
+    (* 1. verifier *)
+    let* () =
+      match Verifier.verify p.Smith.modul with
+      | [] -> Ok ()
+      | errs -> fail "verify" (Verifier.errors_to_string errs)
+    in
+    (* 2. printer/parser round-trip: print, parse, print again — the two
+       texts must be byte-identical *)
+    let printed = Printer.modul_to_string p.Smith.modul in
+    let* reparsed =
+      match Parser.modul_of_string printed with
+      | m -> Ok m
+      | exception Parser.Error e -> fail "roundtrip" ("parse: " ^ e)
+      | exception Lexer.Error e -> fail "roundtrip" ("lex: " ^ e)
+    in
+    let* () =
+      if String.equal printed (Printer.modul_to_string reparsed) then Ok ()
+      else fail "roundtrip" "reprinted IR differs from first print"
+    in
+    (* 3. baseline lowering (honouring the program's space draw) and
+       reference evaluation *)
+    let* lo =
+      step
+        ("lower-to-lospn space=" ^ space_flag p)
+        (lower_with_space p p.Smith.modul)
+    in
+    let* lb0 = step opt_suffix (run_suffix ~pipeline:opt_suffix lo) in
+    let reference = eval_interp lb0 p in
+    let out_cols = out_cols_of_lospn lb0 in
+    let pool =
+      if config.threads > 1 then Some (Pool.global ~threads:config.threads)
+      else None
+    in
+    (* 4. -O0..-O3 × VM/JIT × threads on the baseline: bit-identical to
+       the level's VM single-thread run, which is within tolerance of
+       the reference *)
+    let* () =
+      levels
+      |> each (fun level ->
+             let lstr = Optimizer.level_to_string level in
+             let at = Printf.sprintf "%s %s" baseline_pipeline lstr in
+             let* lir =
+               step
+                 (Printf.sprintf "%s,%s" baseline_pipeline lstr)
+                 (lower_lir ~level lb0)
+             in
+             let base =
+               eval_cpu ~engine:Spnc_cpu.Jit.Vm ~threads:1 ~out_cols lir p
+             in
+             let* () =
+               [
+                 ("jit-t1", Spnc_cpu.Jit.Jit, 1);
+                 ("vm-t2", Spnc_cpu.Jit.Vm, config.threads);
+                 ("jit-t2", Spnc_cpu.Jit.Jit, config.threads);
+               ]
+               |> each (fun (vname, engine, threads) ->
+                      agree Fuzz.Exact "bit-identity"
+                        (Printf.sprintf "%s vm-t1-vs-%s" at vname)
+                        ~reference:base
+                        (eval_cpu ?pool ~engine ~threads ~out_cols lir p))
+             in
+             agree tol "reference" (at ^ " vm-t1") ~reference base)
+    in
+    (* 5. randomized legal pass orderings: the interp result stays within
+       tolerance of the reference, and one seed-chosen level is
+       VM-vs-JIT bit-identical *)
+    List.init config.orderings Fun.id
+    |> each (fun _ ->
+           let pl = Passorder.random_pipeline rng in
+           let pstr = Passorder.pipeline_to_string pl in
+           (* the first element is lower-to-lospn; run the suffix on the
+              space-honouring lowering so the ordering varies while the
+              datatype decision stays the program's own *)
+           let* lbk =
+             step pstr (run_suffix ~pipeline:(String.concat "," (List.tl pl)) lo)
+           in
+           let* () =
+             agree tol "ordering-divergence" pstr ~reference (eval_interp lbk p)
+           in
+           let level = Rng.choose rng levels in
+           let lstr = Optimizer.level_to_string level in
+           let out_cols = out_cols_of_lospn lbk in
+           let* lir =
+             step (Printf.sprintf "%s,%s" pstr lstr) (lower_lir ~level lbk)
+           in
+           let run engine = eval_cpu ~engine ~threads:1 ~out_cols lir p in
+           agree Fuzz.Exact "bit-identity"
+             (Printf.sprintf "%s %s vm-vs-jit" pstr lstr)
+             ~reference:(run Spnc_cpu.Jit.Vm) (run Spnc_cpu.Jit.Jit))
+  in
+  Result.fold ~ok:(fun () -> None) ~error:Option.some checked
+
+(** [check_forced ?config ~pipeline p] — run [p] through one exact
+    textual pipeline and require its interp result to match the
+    baseline pipeline's. *)
+let check_forced ?(config = default_config) ~pipeline (p : Smith.program) :
+    failure option =
+  let checked =
+    let* forced = step pipeline (run_pipeline ~pipeline p.Smith.modul) in
+    let* base =
+      step baseline_pipeline
+        (run_pipeline ~pipeline:baseline_pipeline p.Smith.modul)
+    in
+    agree (Fuzz.Tol config.tol) "ordering-divergence" pipeline
+      ~reference:(eval_interp base p) (eval_interp forced p)
+  in
+  Result.fold ~ok:(fun () -> None) ~error:Option.some checked
 
 (* -- Pass-ordering explorer -------------------------------------------------- *)
 
@@ -430,7 +344,7 @@ let score_one ~(order : string list) ~(baseline_out : float array option)
       let bit_ok =
         match baseline_out with
         | None -> true
-        | Some b -> exact_eq slot0 b
+        | Some b -> Fuzz.compare Fuzz.Exact ~reference:(Ok b) (Ok slot0) = None
       in
       Ok (dt, ops, est_cycles profile, Some slot0, bit_ok)
 

@@ -3,10 +3,7 @@
     bufferized-LoSPN interpreter as semantic reference, with the
     verifier after every pass (docs/FUZZING.md). *)
 
-open Spnc_mlir
-
 type failure = {
-  case_id : int;
   check : string;
       (** which invariant broke: [verify], [roundtrip], [pipeline],
           [bit-identity], [reference], [ordering-divergence] *)
@@ -14,6 +11,7 @@ type failure = {
   detail : string;
 }
 
+(** [[check] pipeline=...: detail] *)
 val pp_failure : Format.formatter -> failure -> unit
 
 type config = {
@@ -24,29 +22,19 @@ type config = {
 
 val default_config : config
 
-(** Bit-exact float-array comparison ([Int64.bits_of_float]). *)
-val exact_eq : float array -> float array -> bool
-
-(** Tolerant comparison: NaN matches NaN, same-signed infinities match,
-    finite values within relative [tol]. *)
-val tol_eq : tol:float -> float array -> float array -> bool
-
 (** The fixed baseline pipeline (HiSPN → bufferized LoSPN). *)
 val baseline_pipeline : string
 
-(** [run_pipeline ~pipeline m] — parse, legality-check (from the
-    ["hispn"] stage) and run a textual pipeline with verify-each. *)
-val run_pipeline : pipeline:string -> Ir.modul -> (Ir.modul, string) result
-
-(** Output slot count of a bufferized LoSPN kernel. *)
-val out_cols_of_lospn : Ir.modul -> int
-
-(** Slot-0 reference evaluation of a bufferized LoSPN module. *)
-val eval_interp : Ir.modul -> Smith.program -> (float array, string) result
-
 (** [check_program ?config p] — the full differential check; [None] when
-    every invariant holds.  Deterministic given the program. *)
+    every invariant holds.  Deterministic given the program.  Outputs
+    are compared by [Spnc_resilience.Fuzz.compare]. *)
 val check_program : ?config:config -> Smith.program -> failure option
+
+(** [check_forced ?config ~pipeline p] — run [p] through one exact
+    textual pipeline (legality-checked, verify-each) and require its
+    interp result to match the baseline pipeline's within tolerance. *)
+val check_forced :
+  ?config:config -> pipeline:string -> Smith.program -> failure option
 
 (** [explore ~programs ~orders] — score opt-stage orderings over the
     corpus (opt seconds, surviving ops, exact profiled -O3 cycles,

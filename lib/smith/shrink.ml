@@ -2,19 +2,18 @@
     (docs/FUZZING.md).
 
     Works on the HiSPN graph directly — op removal with re-verify, the
-    IR analogue of [Spnc_resilience.Fuzz.shrink]'s model reduction.
-    Two op-level reductions are tried, each followed by DCE (dropping
-    the leaves the removal orphaned) and a verifier run (candidates
-    that stop verifying are discarded):
+    IR analogue of [Spnc_resilience.Fuzz.model_subject]'s model
+    reduction.  Two op-level reductions are offered, each followed by
+    DCE (dropping the leaves the removal orphaned) and a verifier run
+    (candidates that stop verifying or do not shrink are discarded):
 
     - {e forward}: delete an inner sum/product and route one of its
       operands to its uses;
     - {e narrow}: drop one operand of a sum/product with two or more
       operands (sum weights are renormalized so the op still verifies).
 
-    Plus a data-level reduction removing evidence rows.  The greedy
-    loop keeps any candidate on which [still_fails] holds, so the
-    result is a locally-minimal program exhibiting the failure. *)
+    {!subject} plugs them into [Spnc_resilience.Fuzz.shrink], whose
+    greedy loop also reduces the evidence rows. *)
 
 open Spnc_mlir
 module Hi = Spnc_hispn.Ops
@@ -147,43 +146,19 @@ let op_candidates (m : Ir.modul) : Ir.modul list =
         (fun ops' -> Option.map Rewrite.dce (map_graph_ops m (fun _ -> Some ops')))
         (reductions ops)
 
-let row_candidates (data : float array array) : float array array list =
-  let n = Array.length data in
-  if n <= 1 then []
-  else
-    List.init n (fun i ->
-        Array.of_list
-          (List.filteri (fun j _ -> j <> i) (Array.to_list data)))
-
-(** [shrink ?max_steps ~still_fails m data] — greedy delta-debug:
-    repeatedly take the first valid one-step reduction (op-level, then
-    row-level) on which [still_fails] holds. *)
-let shrink ?(max_steps = 400) ~still_fails (m : Ir.modul)
-    (data : float array array) : Ir.modul * float array array =
-  let steps = ref 0 in
-  let rec go m data =
-    if !steps >= max_steps then (m, data)
-    else
-      let next_m =
-        List.find_opt
-          (fun m' ->
-            incr steps;
-            !steps <= max_steps
-            && count_ops m' < count_ops m
-            && Verifier.is_valid m'
-            && still_fails m' data)
-          (op_candidates m)
-      in
-      match next_m with
-      | Some m' -> go m' data
-      | None -> (
-          let next_d =
-            List.find_opt
-              (fun data' ->
-                incr steps;
-                !steps <= max_steps && still_fails m data')
-              (row_candidates data)
-          in
-          match next_d with Some data' -> go m data' | None -> (m, data))
-  in
-  go m data
+(** Programs: verifying, strictly smaller op-level reductions, with the
+    IR shrinker's larger budget. *)
+let subject : Ir.modul Spnc_resilience.Fuzz.subject =
+  {
+    name = "program";
+    ext = "mlir";
+    size_unit = "ops";
+    size = count_ops;
+    print = Printer.modul_to_string;
+    candidates =
+      (fun m ->
+        List.filter
+          (fun m' -> count_ops m' < count_ops m && Verifier.is_valid m')
+          (op_candidates m));
+    max_steps = 400;
+  }

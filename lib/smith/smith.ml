@@ -243,14 +243,3 @@ let generate ?(config = default_config) ~seed ~id () : program =
   }
 
 let flat_data (p : program) = Array.concat (Array.to_list p.data)
-
-let data_to_csv (data : float array array) : string =
-  let buf = Buffer.create 256 in
-  Array.iter
-    (fun row ->
-      Buffer.add_string buf
-        (String.concat ","
-           (Array.to_list (Array.map (Printf.sprintf "%h") row)));
-      Buffer.add_char buf '\n')
-    data;
-  Buffer.contents buf

@@ -54,7 +54,3 @@ val generate : ?config:config -> seed:int -> id:int -> unit -> program
 
 (** Row-major flattened evidence. *)
 val flat_data : program -> float array
-
-(** Hex-float CSV rendering of evidence rows (bit-exact round-trip) for
-    reproducer bundles. *)
-val data_to_csv : float array array -> string

@@ -338,9 +338,9 @@ let all_cpu_oracles =
 let test_fuzz_clean () =
   for id = 0 to 9 do
     let case = Fuzz.gen_case ~seed:11 ~id () in
-    match Fuzz.check_case ~oracles:all_cpu_oracles case with
+    match Fuzz.check ~oracles:all_cpu_oracles case.Fuzz.model case.Fuzz.data with
     | None -> ()
-    | Some f -> Alcotest.failf "case %d: %a" id Fuzz.pp_failure_kind f.Fuzz.kind
+    | Some f -> Alcotest.failf "case %d: %s" id f
   done
 
 let test_fuzz_deterministic () =
@@ -362,7 +362,7 @@ let test_fuzz_catches_injected_miscompile () =
       let id = ref 0 in
       while !caught = None && !id < 20 do
         let case = Fuzz.gen_case ~seed:13 ~id:!id () in
-        (match Fuzz.check_case ~oracles case with
+        (match Fuzz.check ~oracles case.Fuzz.model case.Fuzz.data with
         | Some f -> caught := Some (case, f)
         | None -> ());
         incr id
@@ -371,7 +371,7 @@ let test_fuzz_catches_injected_miscompile () =
       | None -> Alcotest.fail "injected miscompile never detected"
       | Some (case, _) ->
           let shrunk, shrunk_data =
-            Fuzz.shrink
+            Fuzz.shrink ~candidates:Fuzz.model_subject.Fuzz.candidates
               ~still_fails:(fun m d -> Fuzz.check ~oracles m d <> None)
               case.Fuzz.model case.Fuzz.data
           in
@@ -381,6 +381,110 @@ let test_fuzz_catches_injected_miscompile () =
             (Array.length shrunk_data <= Array.length case.Fuzz.data);
           check tbool "shrunk case still fails" true
             (Fuzz.check ~oracles shrunk shrunk_data <> None))
+
+(* The comparator's tiers: exact bits, tolerance relative to the
+   reference, NaN/infinity matching, and the trap-class rule. *)
+let test_fuzz_comparator () =
+  let agrees tier r g = Fuzz.compare tier ~reference:(Ok r) (Ok g) = None in
+  let tol = Fuzz.Tol 1e-9 in
+  check tbool "NaN matches NaN" true (agrees tol [| Float.nan |] [| Float.nan |]);
+  check tbool "NaN does not match a number" false
+    (agrees tol [| Float.nan |] [| 0.0 |]);
+  check tbool "-inf matches -inf" true
+    (agrees tol [| Float.neg_infinity |] [| Float.neg_infinity |]);
+  check tbool "inf does not match -inf" false
+    (agrees tol [| Float.infinity |] [| Float.neg_infinity |]);
+  check tbool "finite does not match a -inf reference" false
+    (agrees (Fuzz.Tol 1e-6) [| Float.neg_infinity |] [| -3.0 |]);
+  check tbool "+inf does not match a -inf reference" false
+    (agrees (Fuzz.Tol 1e-6) [| Float.neg_infinity |] [| Float.infinity |]);
+  check tbool "relative tolerance" true
+    (agrees (Fuzz.Tol 1e-6) [| 1000.0 |] [| 1000.0005 |]);
+  check tbool "scaled by the reference, not the larger value" false
+    (agrees (Fuzz.Tol 0.1) [| 1.0 |] [| 10.0 |]);
+  check tbool "exact distinguishes -0." false
+    (agrees Fuzz.Exact [| 0.0 |] [| -0.0 |]);
+  check tbool "exact matches equal bits" true
+    (agrees Fuzz.Exact [| 1.5; Float.nan |] [| 1.5; Float.nan |]);
+  check tbool "row counts must match" false (agrees Fuzz.Exact [| 1.0 |] [||]);
+  check tbool "two traps agree" true
+    (Fuzz.compare Fuzz.Exact ~reference:(Error "a") (Error "b") = None);
+  check tbool "a trap against a result is a finding" true
+    (Fuzz.compare Fuzz.Exact ~reference:(Ok [| 1.0 |]) (Error "t") <> None
+    && Fuzz.compare Fuzz.Exact ~reference:(Error "t") (Ok [| 1.0 |]) <> None);
+  check (Alcotest.option tstr) "names the first differing row"
+    (Some "row 1: reference 2, got 3")
+    (Fuzz.compare Fuzz.Exact ~reference:(Ok [| 1.0; 2.0; 4.0 |])
+       (Ok [| 1.0; 3.0; 5.0 |]))
+
+(* An oracle returning finite values where the reference evaluator
+   underflows to -inf (a zero-probability category) is a finding. *)
+let test_fuzz_neg_inf_reference () =
+  let m =
+    Model.make ~num_features:1 (Model.categorical ~var:0 ~probs:[| 1.0; 0.0 |])
+  in
+  let data = [| [| 1.0 |] |] in
+  check tbool "reference underflows" true
+    ((Fuzz.reference m data).(0) = Float.neg_infinity);
+  let constant v =
+    {
+      Fuzz.oracle_name = "constant";
+      eval = (fun _ d -> Array.map (fun _ -> v) d);
+    }
+  in
+  check tbool "finite against -inf reported" true
+    (Fuzz.check ~oracles:[ constant (-3.0) ] m data <> None);
+  check tbool "+inf against -inf reported" true
+    (Fuzz.check ~oracles:[ constant Float.infinity ] m data <> None)
+
+(* The shared shrink loop on a toy subject: it reduces the subject while
+   the predicate holds, then the rows (halves, then single rows). *)
+let test_fuzz_shrink_loop () =
+  let rows = Array.init 8 (fun i -> [| float_of_int i |]) in
+  let s, r =
+    Fuzz.shrink
+      ~candidates:(fun n -> if n > 0 then [ n - 1 ] else [])
+      ~still_fails:(fun n r -> n >= 3 && Array.exists (fun x -> x.(0) = 5.0) r)
+      10 rows
+  in
+  check tint "subject minimal" 3 s;
+  check tbool "one failing row left" true (r = [| [| 5.0 |] |]);
+  let steps = ref 0 in
+  ignore
+    (Fuzz.shrink ~max_steps:4
+       ~candidates:(fun n -> [ n + 1 ])
+       ~still_fails:(fun _ _ ->
+         incr steps;
+         true)
+       0 rows);
+  check tint "budget bounds predicate calls" 4 !steps
+
+(* Every mode's findings go through one report path and bundle layout. *)
+let test_fuzz_report_bundle () =
+  let dir = Filename.temp_file "spnc-fuzz-report" "" in
+  Sys.remove dir;
+  let m = small_model () in
+  Fuzz.report ~dir Fuzz.model_subject ~tag:"FAIL" ~seed:3 ~id:4
+    ~repro:"spnc_fuzz --seed 3 --case 4" ~pipeline:"(test)" ~diag:"boom"
+    ~still_fails:(fun _ d -> Array.length d >= 1)
+    m small_rows;
+  match Sys.readdir dir with
+  | [| b |] ->
+      let read f =
+        In_channel.with_open_bin
+          (Filename.concat (Filename.concat dir b) f)
+          In_channel.input_all
+      in
+      check tstr "repro command" "spnc_fuzz --seed 3 --case 4\n"
+        (read "repro-command.txt");
+      check tstr "diagnostic" "boom\n" (read "diag.txt");
+      check tstr "hex-float data, shrunk to one row"
+        "0x1.999999999999ap-4,0x1.ccccccccccccdp-1\n" (read "data.csv");
+      check tbool "shrunk model is a leaf" true
+        (Model.node_count (Spnc_spn.Text.of_string (read "model.txt")) = 1);
+      check tstr "original model kept" (Spnc_spn.Text.to_string m)
+        (read "model-original.txt")
+  | files -> Alcotest.failf "expected one bundle, got %d" (Array.length files)
 
 let test_fuzz_generates_valid_models () =
   for id = 0 to 19 do
@@ -565,6 +669,14 @@ let suite =
       test_fuzz_catches_injected_miscompile;
     Alcotest.test_case "fuzz: generated models are valid" `Quick
       test_fuzz_generates_valid_models;
+    Alcotest.test_case "fuzz: comparator tiers and trap classes" `Quick
+      test_fuzz_comparator;
+    Alcotest.test_case "fuzz: finite vs -inf reference reported" `Quick
+      test_fuzz_neg_inf_reference;
+    Alcotest.test_case "fuzz: one shrink loop, rows and budget" `Quick
+      test_fuzz_shrink_loop;
+    Alcotest.test_case "fuzz: one report path and bundle layout" `Quick
+      test_fuzz_report_bundle;
     Alcotest.test_case "reproducer: bundle layout" `Quick test_reproducer_write;
     Alcotest.test_case "fault: decision stream deterministic" `Quick
       test_fault_decide_deterministic;

@@ -8,6 +8,7 @@ open Spnc_mlir
 module Smith = Spnc_smith.Smith
 module Harness = Spnc_smith.Harness
 module Shrink = Spnc_smith.Shrink
+module Fuzz = Spnc_resilience.Fuzz
 module Passorder = Spnc_smith.Passorder
 module Rng = Spnc_data.Rng
 
@@ -178,7 +179,9 @@ let test_shrinker_on_planted_miscompile () =
             <> None
           in
           let shrunk, shrunk_data =
-            Shrink.shrink ~still_fails p.Smith.modul p.Smith.data
+            Fuzz.shrink ~max_steps:Shrink.subject.Fuzz.max_steps
+              ~candidates:Shrink.subject.Fuzz.candidates ~still_fails
+              p.Smith.modul p.Smith.data
           in
           check tbool "shrunk module is strictly smaller" true
             (Shrink.count_ops shrunk < Shrink.count_ops p.Smith.modul);
@@ -270,17 +273,6 @@ let test_leaderboard_roundtrip () =
         | Some s -> s.Passorder.bit_identical
         | None -> false)
 
-let test_comparisons () =
-  check tbool "NaN matches NaN" true
-    (Harness.tol_eq ~tol:1e-9 [| Float.nan |] [| Float.nan |]);
-  check tbool "-inf matches -inf" true
-    (Harness.tol_eq ~tol:1e-9 [| Float.neg_infinity |] [| Float.neg_infinity |]);
-  check tbool "inf does not match -inf" false
-    (Harness.tol_eq ~tol:1e-9 [| Float.infinity |] [| Float.neg_infinity |]);
-  check tbool "relative tolerance" true
-    (Harness.tol_eq ~tol:1e-6 [| 1000.0 |] [| 1000.0005 |]);
-  check tbool "exact_eq distinguishes -0." false (Harness.exact_eq [| 0.0 |] [| -0.0 |])
-
 let suite =
   [
     Alcotest.test_case "generator is seed-deterministic" `Quick test_deterministic;
@@ -308,6 +300,4 @@ let suite =
       test_bad_opt_order_raises;
     Alcotest.test_case "leaderboard JSON round-trips" `Quick
       test_leaderboard_roundtrip;
-    Alcotest.test_case "tolerant/exact comparison corners" `Quick
-      test_comparisons;
   ]
