@@ -578,24 +578,42 @@ let bechamel_suite () =
 
 (* -- Main ---------------------------------------------------------------------------------------- *)
 
+let sections =
+  [
+    ("fig6", fig6);
+    ("fig6b", fig6b);
+    ("fig7", fig7);
+    ("fig8", fig8);
+    ("fig9", fig9);
+    ("compile_time_stats", compile_time_stats);
+    ("fig10", fig10);
+    ("fig11", fig11);
+    ("fig12", fig12);
+    ("fig13", fig13);
+    ("compile_breakdown", compile_breakdown);
+    ("tab_ratspn", tab_ratspn);
+    ("ablation_partitioning", ablation_partitioning);
+    ("ablation_gpu_copy_opt", ablation_gpu_copy_opt);
+    ("ablation_gather_tables", ablation_gather_tables);
+    ("ablation_buffer_opt", ablation_buffer_opt);
+    ("bechamel", bechamel_suite);
+  ]
+
+(* [main.exe] runs every section in order; [main.exe fig10 fig11] only
+   the named ones. *)
 let () =
+  let wanted = List.tl (Array.to_list Sys.argv) in
+  List.iter
+    (fun w ->
+      if not (List.mem_assoc w sections) then begin
+        Fmt.epr "unknown section %s; sections: %s@." w
+          (String.concat " " (List.map fst sections));
+        exit 2
+      end)
+    wanted;
   Fmt.pr "SPNC benchmark harness — scale: %s@." W.scale_name;
   Fmt.pr "(set SPNC_BENCH_SCALE=paper for paper-sized workloads)@.";
-  fig6 ();
-  fig6b ();
-  fig7 ();
-  fig8 ();
-  fig9 ();
-  compile_time_stats ();
-  fig10 ();
-  fig11 ();
-  fig12 ();
-  fig13 ();
-  compile_breakdown ();
-  tab_ratspn ();
-  ablation_partitioning ();
-  ablation_gpu_copy_opt ();
-  ablation_gather_tables ();
-  ablation_buffer_opt ();
-  bechamel_suite ();
+  List.iter
+    (fun (name, run) -> if wanted = [] || List.mem name wanted then run ())
+    sections;
   Fmt.pr "@.done.@."

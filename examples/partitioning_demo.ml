@@ -40,6 +40,5 @@ let () =
         exec_ms spills)
     [ 500; 1_000; 2_500; 5_000; 10_000; 25_000 ];
   Fmt.pr
-    "@.Fewer partitions -> fewer buffer round-trips (faster execution) but \
-     larger single tasks (superlinear register allocation -> slower \
-     compilation).@."
+    "@.Fewer partitions -> fewer buffer round-trips (faster execution); \
+     the compile(s) column shows what the larger tasks cost to compile.@."

@@ -1,9 +1,9 @@
 (** Instruction selection: cir functions → Lir (the paper's "translated
     to LLVM IR" step, §IV-B).  The translation is deliberately naive —
     this is the -O0 code; {!Optimizer} cleans it up at higher levels.
-    A size-scaled sliding-window hazard scan models SelectionDAG's
-    superlinear behaviour on very large task bodies (27% of CPU compile
-    time in the paper's §V-B.1 breakdown). *)
+    Selection is one walk over the cir ops, linear in their number; it
+    does no scheduling, so its share of compile time is smaller than the
+    27% the paper measures for LLVM's SelectionDAG (§V-B.1). *)
 
 open Spnc_mlir
 

@@ -65,37 +65,6 @@ type kernel = { cfuncs : cfunc array; centry : int }
 
 type state = frame array
 
-(* -- Register bounds ---------------------------------------------------------- *)
-
-(* Widen the declared per-class register counts to cover every register
-   index the body (and the parameter list) actually touches.  Frames
-   sized from these bounds make the unchecked register accesses inside
-   the compiled closures safe even for hand-assembled Lir whose declared
-   counts are wrong. *)
-let reg_bounds (fn : func) : int * int * int * int =
-  let nf = ref fn.nf and ni = ref fn.ni and nv = ref fn.nv and nb = ref fn.nb in
-  let bump (rc, r) =
-    let cell =
-      match rc with
-      | Optimizer.F -> nf
-      | Optimizer.I -> ni
-      | Optimizer.V -> nv
-      | Optimizer.B -> nb
-    in
-    if r >= !cell then cell := r + 1
-  in
-  let rec go body =
-    Array.iter
-      (fun ins ->
-        List.iter bump (Optimizer.defs ins);
-        List.iter bump (Optimizer.uses ins);
-        match ins with Loop l -> go l.body | _ -> ())
-      body
-  in
-  go fn.body;
-  List.iter (fun p -> bump (Optimizer.B, p)) fn.params;
-  (max 1 !nf, max 1 !ni, max 1 !nv, max 1 !nb)
-
 (* -- Constant promotion ------------------------------------------------------- *)
 
 (* A [ConstF]/[ConstI]/[VConst] whose destination register has exactly
@@ -218,7 +187,7 @@ let fuse (codes : code array) : code =
     done
 
 (* Unchecked register-file accessors: indices were bounds-validated at
-   compile time against the frame sizes in [reg_bounds]. *)
+   compile time against the frame sizes from [Optimizer.reg_bounds]. *)
 let[@inline] gf fr r = Array.unsafe_get fr.f r
 let[@inline] sf fr r x = Array.unsafe_set fr.f r x
 let[@inline] gi fr r = Array.unsafe_get fr.i r
@@ -585,7 +554,10 @@ let no_skip (_ : instr) = false
 let no_prof (_ : instr) = None
 
 let compile_func ?profile (k : kernel) (fn : func) : cfunc =
-  let fr_nf, fr_ni, fr_nv, fr_nb = reg_bounds fn in
+  let bounds = Optimizer.reg_bounds fn in
+  let bound c = max 1 bounds.(Optimizer.slot c) in
+  let fr_nf = bound Optimizer.F and fr_ni = bound Optimizer.I in
+  let fr_nv = bound Optimizer.V and fr_nb = bound Optimizer.B in
   (* [w] is the exact lane count of every vector register in this
      function's frame ([make_state] sizes them from [fr_width]), which is
      what makes the width-specialized unchecked lane accesses safe *)

@@ -88,6 +88,29 @@ let uses (i : instr) : (rc * reg) list =
   | CallFn (_, args) -> List.map (fun a -> (B, a)) args
   | Loop l -> [ (I, l.lb); (I, l.ub) ]
 
+(* Dense per-class register tables: isel numbers the registers of each
+   class 0..n-1, so a register indexes an array of its class directly. *)
+let slot = function F -> 0 | I -> 1 | V -> 2 | B -> 3
+
+(* One past the highest register of each slot: the counts isel recorded,
+   widened to cover every register the body and the parameter list
+   touch, so tables sized from them are safe even for hand-assembled
+   Lir whose declared counts are wrong. *)
+let reg_bounds (f : func) : int array =
+  let n = [| f.nf; f.ni; f.nv; f.nb |] in
+  let see (c, r) = if r >= n.(slot c) then n.(slot c) <- r + 1 in
+  let rec walk body =
+    Array.iter
+      (fun i ->
+        List.iter see (defs i);
+        List.iter see (uses i);
+        match i with Loop l -> walk l.body | _ -> ())
+      body
+  in
+  walk f.body;
+  List.iter (fun p -> see (B, p)) f.params;
+  n
+
 (* pure = no side effects, safe to CSE / sink / hoist / remove-if-dead *)
 let pure (i : instr) =
   match i with
@@ -283,57 +306,62 @@ let cse (f : func) : func = { f with body = cse_body f.body }
 
 (* -- Dead code elimination -------------------------------------------------------- *)
 
-let rec collect_uses (used_f : (reg, unit) Hashtbl.t) used_i used_v
-    (body : instr array) =
-  Array.iter
-    (fun i ->
-      List.iter
-        (fun (c, r) ->
-          match c with
-          | F -> Hashtbl.replace used_f r ()
-          | I -> Hashtbl.replace used_i r ()
-          | V -> Hashtbl.replace used_v r ()
-          | B -> ())
-        (uses i);
-      match i with Loop l -> collect_uses used_f used_i used_v l.body | _ -> ())
-    body
+(* [Some (slot, reg)] for a pure instruction whose result DCE may drop;
+   buffers are freed explicitly, so a buffer definition stays *)
+let removable (i : instr) =
+  if not (pure i) then None
+  else match defs i with [ (c, r) ] when c <> B -> Some (slot c, r) | _ -> None
 
-let rec dce_body used_f used_i used_v (body : instr array) : instr array =
-  Array.of_list
-    (List.filter_map
-       (fun i ->
-         match i with
-         | Loop l -> Some (Loop { l with body = dce_body used_f used_i used_v l.body })
-         | _ ->
-             if pure i then
-               let dead =
-                 List.for_all
-                   (fun (c, r) ->
-                     match c with
-                     | F -> not (Hashtbl.mem used_f r)
-                     | I -> not (Hashtbl.mem used_i r)
-                     | V -> not (Hashtbl.mem used_v r)
-                     | B -> false)
-                   (defs i)
-               in
-               if dead && defs i <> [] then None else Some i
-             else Some i)
-       (Array.to_list body))
-
+(* Removes every pure instruction whose result is never read, to the
+   fixpoint, in one pass: count the uses of each register, then walk a
+   worklist of dead registers, releasing the operands of their pure
+   definitions; an operand whose count drops to zero dies in turn. *)
 let dce (f : func) : func =
-  let rec go f n =
-    if n = 0 then f
-    else begin
-      let used_f = Hashtbl.create 256
-      and used_i = Hashtbl.create 256
-      and used_v = Hashtbl.create 256 in
-      collect_uses used_f used_i used_v f.body;
-      let body' = dce_body used_f used_i used_v f.body in
-      if Lir.count_instrs body' = Lir.count_instrs f.body then { f with body = body' }
-      else go { f with body = body' } (n - 1)
+  let bounds = reg_bounds f in
+  let count = Array.map (fun b -> Array.make b 0) bounds in
+  (* per register, the operands of each of its pure definitions *)
+  let sites = Array.map (fun b -> Array.make b []) bounds in
+  let rec scan body =
+    Array.iter
+      (fun i ->
+        let u = uses i in
+        List.iter (fun (c, r) -> count.(slot c).(r) <- count.(slot c).(r) + 1) u;
+        (match removable i with
+        | Some (s, r) -> sites.(s).(r) <- u :: sites.(s).(r)
+        | None -> ());
+        match i with Loop l -> scan l.body | _ -> ())
+      body
+  in
+  scan f.body;
+  let dead = Array.map (fun b -> Array.make b false) bounds in
+  let work = Stack.create () in
+  let kill s r =
+    if count.(s).(r) = 0 && sites.(s).(r) <> [] && not dead.(s).(r) then begin
+      dead.(s).(r) <- true;
+      Stack.push (s, r) work
     end
   in
-  go f 8
+  Array.iteri (fun s regs -> Array.iteri (fun r _ -> kill s r) regs) count;
+  while not (Stack.is_empty work) do
+    let s, r = Stack.pop work in
+    List.iter
+      (List.iter (fun (c, r) ->
+           let s = slot c in
+           count.(s).(r) <- count.(s).(r) - 1;
+           kill s r))
+      sites.(s).(r)
+  done;
+  let rec rebuild body =
+    Array.of_list
+      (List.filter_map
+         (fun i ->
+           match (i, removable i) with
+           | Loop l, _ -> Some (Loop { l with body = rebuild l.body })
+           | _, Some (s, r) when dead.(s).(r) -> None
+           | _ -> Some i)
+         (Array.to_list body))
+  in
+  { f with body = rebuild f.body }
 
 (* -- Loop-invariant code motion ------------------------------------------------------ *)
 

@@ -18,8 +18,8 @@ val level_to_string : level -> string
 (** Inverse of {!level_to_string}; accepts "-O2" and "O2" forms. *)
 val level_of_string : string -> level option
 
-(** Register class of an operand/result (used by regalloc and isel's
-    hazard scan): float / int / vector / buffer. *)
+(** Register class of an operand/result: float / int / vector /
+    buffer. *)
 type rc = F | I | V | B
 
 (** [defs i] — the registers instruction [i] defines, with classes.  A
@@ -28,6 +28,15 @@ val defs : Lir.instr -> (rc * Lir.reg) list
 
 (** [uses i] — the registers instruction [i] reads, with classes. *)
 val uses : Lir.instr -> (rc * Lir.reg) list
+
+(** [slot c] — index of class [c] in dense per-class register tables:
+    [F] 0, [I] 1, [V] 2, [B] 3. *)
+val slot : rc -> int
+
+(** [reg_bounds f] — per slot, one past the highest register number of
+    that class in [f]: the counts isel recorded, widened to cover every
+    register the body and parameters of a hand-built function use. *)
+val reg_bounds : Lir.func -> int array
 
 (** [pure i] — no side effects; eligible for CSE/DCE/hoisting.  Loads are
     deliberately not pure (a preceding store may alias). *)

@@ -4,9 +4,10 @@
     time is spent in LLVM's (greedy) register allocator; this pass is the
     corresponding stage here.  Live intervals are computed over the
     linearized instruction order (values live across a loop extend to the
-    loop end); the scan maintains an explicitly sorted active list — with
-    the very wide live sets of large SPN task bodies the active-list
-    maintenance is the superlinear component that shows up in Fig. 10.
+    loop end) in dense per-class arrays indexed by register number.  The
+    scan keeps at most [phys_regs] active end points in a sorted array,
+    so it is linear in the number of intervals; its share of compile time
+    is far below the paper's 25%.
 
     The allocation is recorded as statistics (registers used, spill
     count): the VM executes virtual-register code, but the spill traffic
@@ -28,50 +29,37 @@ type stats = {
 let phys_regs = 16
 
 (* Linearize the function body, assigning each instruction a position;
-   returns per-class (first_def, last_use) keyed by register.  A register
-   used inside a loop body but defined before the loop has its last_use
-   extended to the loop's end position, since it is needed on every
-   iteration. *)
+   returns, per slot ({!Optimizer.slot}), the intervals [(starts, stops)]
+   in order of increasing start.  A register used inside a loop body but
+   defined before the loop has its last use extended to the loop's end
+   position, since it is needed on every iteration. *)
 let live_intervals (f : func) =
-  let first_def_f = Hashtbl.create 256 and last_use_f = Hashtbl.create 256 in
-  let first_def_i = Hashtbl.create 256 and last_use_i = Hashtbl.create 256 in
-  let first_def_v = Hashtbl.create 256 and last_use_v = Hashtbl.create 256 in
-  (* constants are rematerializable: the allocator re-emits them at their
-     uses instead of keeping them live, so they form no intervals *)
-  let remat_f = Hashtbl.create 64 and remat_i = Hashtbl.create 64 in
-  let remat_v = Hashtbl.create 64 in
+  let bounds = Optimizer.reg_bounds f in
+  (* position of each register's first definition; 0 = not yet defined,
+     -1 = forms no interval: buffers are not allocated, and constants
+     are rematerializable (the allocator re-emits them at their uses
+     instead of keeping them live) *)
+  let first_def =
+    Array.mapi
+      (fun s b -> Array.make b (if s = Optimizer.slot Optimizer.B then -1 else 0))
+      bounds
+  in
+  let last_use = Array.map (fun b -> Array.make b 0) bounds in
   let rec mark_remat (body : instr array) =
     Array.iter
       (fun i ->
         match i with
-        | ConstF (d, _) -> Hashtbl.replace remat_f d ()
-        | ConstI (d, _) -> Hashtbl.replace remat_i d ()
-        | VConst (d, _) -> Hashtbl.replace remat_v d ()
+        | ConstF (d, _) -> first_def.(Optimizer.slot Optimizer.F).(d) <- -1
+        | ConstI (d, _) -> first_def.(Optimizer.slot Optimizer.I).(d) <- -1
+        | VConst (d, _) -> first_def.(Optimizer.slot Optimizer.V).(d) <- -1
         | Loop l -> mark_remat l.body
         | _ -> ())
       body
   in
   mark_remat f.body;
-  let is_remat (c : Optimizer.rc) r =
-    match c with
-    | Optimizer.F -> Hashtbl.mem remat_f r
-    | Optimizer.I -> Hashtbl.mem remat_i r
-    | Optimizer.V -> Hashtbl.mem remat_v r
-    | Optimizer.B -> false
-  in
+  (* registers of each slot, most recently defined first *)
+  let order = Array.make (Array.length bounds) [] in
   let pos = ref 0 in
-  let def_tbl = function
-    | Optimizer.F -> Some first_def_f
-    | Optimizer.I -> Some first_def_i
-    | Optimizer.V -> Some first_def_v
-    | Optimizer.B -> None
-  in
-  let use_tbl = function
-    | Optimizer.F -> Some last_use_f
-    | Optimizer.I -> Some last_use_i
-    | Optimizer.V -> Some last_use_v
-    | Optimizer.B -> None
-  in
   let rec scan (body : instr array) ~loop_ends =
     Array.iter
       (fun ins ->
@@ -79,94 +67,95 @@ let live_intervals (f : func) =
         let p = !pos in
         List.iter
           (fun (c, r) ->
-            match use_tbl c with
-            | Some _ when is_remat c r -> ()
-            | Some tbl ->
-                (* if defined outside the current loops, extend to the
-                   outermost loop end after the definition *)
-                let d_tbl = Option.get (def_tbl c) in
-                let endpoint =
-                  match Hashtbl.find_opt d_tbl r with
-                  | Some dpos ->
-                      List.fold_left
-                        (fun acc (lstart, lend) ->
-                          if dpos < lstart then max acc lend else acc)
-                        p loop_ends
-                  | None -> p
-                in
-                Hashtbl.replace tbl r
-                  (max endpoint (Option.value ~default:0 (Hashtbl.find_opt tbl r)))
-            | None -> ())
+            let s = Optimizer.slot c in
+            let dpos = first_def.(s).(r) in
+            if dpos >= 0 then begin
+              (* if defined outside the current loops, extend to the
+                 outermost loop end after the definition *)
+              let endpoint =
+                if dpos = 0 then p
+                else
+                  List.fold_left
+                    (fun acc (lstart, lend) ->
+                      if dpos < lstart then max acc lend else acc)
+                    p loop_ends
+              in
+              if endpoint > last_use.(s).(r) then last_use.(s).(r) <- endpoint
+            end)
           (Optimizer.uses ins);
         List.iter
           (fun (c, r) ->
-            match def_tbl c with
-            | Some _ when is_remat c r -> ()
-            | Some tbl -> if not (Hashtbl.mem tbl r) then Hashtbl.replace tbl r p
-            | None -> ())
+            let s = Optimizer.slot c in
+            if first_def.(s).(r) = 0 then begin
+              first_def.(s).(r) <- p;
+              order.(s) <- r :: order.(s)
+            end)
           (Optimizer.defs ins);
         match ins with
         | Loop l ->
-            let lstart = !pos in
-            (* pre-compute the end position of this loop *)
-            let size = Lir.count_instrs l.body in
-            let lend = lstart + size + 1 in
-            scan l.body ~loop_ends:((lstart, lend) :: loop_ends)
+            let lend = p + Lir.count_instrs l.body + 1 in
+            scan l.body ~loop_ends:((p, lend) :: loop_ends)
         | _ -> ())
       body
   in
   scan f.body ~loop_ends:[];
-  let gather fd lu =
-    Hashtbl.fold
-      (fun r d acc ->
-        let e = max d (Option.value ~default:d (Hashtbl.find_opt lu r)) in
-        (r, d, e) :: acc)
-      fd []
-  in
-  ( gather first_def_f last_use_f,
-    gather first_def_i last_use_i,
-    gather first_def_v last_use_v )
+  Array.mapi
+    (fun s regs ->
+      let regs = Array.of_list (List.rev regs) in
+      ( Array.map (fun r -> first_def.(s).(r)) regs,
+        Array.map (fun r -> max first_def.(s).(r) last_use.(s).(r)) regs ))
+    order
 
-(* Classic linear scan over one class; returns (spills, max_pressure). *)
-let linear_scan intervals ~k =
-  let sorted = List.sort (fun (_, d1, _) (_, d2, _) -> compare d1 d2) intervals in
-  (* active list kept sorted by increasing end point; maintained by linear
-     insertion — the superlinear component under high pressure *)
-  let active = ref [] in
-  let spills = ref 0 in
-  let max_pressure = ref 0 in
-  List.iter
-    (fun (_, start, stop) ->
-      (* expire *)
-      active := List.filter (fun (_, e) -> e > start) !active;
-      if List.length !active >= k then begin
-        (* spill the interval with the furthest end (Poletto-Sarkar) *)
-        match List.rev !active with
-        | (_, e_last) :: rest_rev when e_last > stop ->
-            incr spills;
-            (* spill the active one, take its place *)
-            active :=
-              List.merge
-                (fun (_, a) (_, b) -> compare a b)
-                (List.rev rest_rev)
-                [ ((), stop) ]
-        | _ -> incr spills (* spill the new interval itself *)
+(* Classic linear scan over one class's intervals (sorted by start, and
+   within a class each position defines one register, so starts are
+   distinct); returns (spills, max_pressure).  The active set holds at
+   most [k] end points, kept sorted ascending in a fixed array. *)
+let linear_scan ((starts, stops) : int array * int array) ~k =
+  let active = Array.make k 0 and n = ref 0 in
+  let insert e =
+    let j = ref !n in
+    while !j > 0 && active.(!j - 1) > e do
+      active.(!j) <- active.(!j - 1);
+      decr j
+    done;
+    active.(!j) <- e;
+    incr n
+  in
+  let spills = ref 0 and max_pressure = ref 0 in
+  Array.iteri
+    (fun idx start ->
+      let stop = stops.(idx) in
+      (* expire: the ended intervals are a prefix *)
+      let x = ref 0 in
+      while !x < !n && active.(!x) <= start do incr x done;
+      if !x > 0 then begin
+        Array.blit active !x active 0 (!n - !x);
+        n := !n - !x
+      end;
+      if !n >= k then begin
+        incr spills;
+        (* spill the interval with the furthest end (Poletto-Sarkar):
+           an active one, whose place the new interval takes, or else
+           the new interval itself *)
+        if active.(!n - 1) > stop then begin
+          decr n;
+          insert stop
+        end
       end
-      else
-        active :=
-          List.merge (fun (_, a) (_, b) -> compare a b) !active [ ((), stop) ];
-      if List.length !active > !max_pressure then max_pressure := List.length !active)
-    sorted;
+      else insert stop;
+      if !n > !max_pressure then max_pressure := !n)
+    starts;
   (!spills, !max_pressure)
 
 (** [allocate f] runs linear scan on all three register classes. *)
 let allocate (f : func) : stats =
-  let fi, ii, vi = live_intervals f in
-  let spills_f, mp_f = linear_scan fi ~k:phys_regs in
-  let spills_i, _ = linear_scan ii ~k:phys_regs in
-  let spills_v, mp_v = linear_scan vi ~k:phys_regs in
+  let iv = live_intervals f in
+  let scan c = linear_scan iv.(Optimizer.slot c) ~k:phys_regs in
+  let spills_f, mp_f = scan Optimizer.F in
+  let spills_i, _ = scan Optimizer.I in
+  let spills_v, mp_v = scan Optimizer.V in
   {
-    intervals = List.length fi + List.length ii + List.length vi;
+    intervals = Array.fold_left (fun acc (starts, _) -> acc + Array.length starts) 0 iv;
     spills_f;
     spills_i;
     spills_v;

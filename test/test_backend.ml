@@ -248,6 +248,56 @@ let test_small_function_no_spills () =
         (Spnc_cpu.Regalloc.total_spills s <= 2))
     stats
 
+(* Golden statistics on a hand-built function: 20 floats and 2 vectors
+   loaded before a loop and read inside it stay live to the loop's end,
+   so 4 of the floats spill on arrival and the loop's first temporary
+   evicts one more (Poletto-Sarkar: the furthest end goes).  Positions
+   count instructions in order, loops before their bodies. *)
+let test_regalloc_golden_stats () =
+  let module L = Spnc_cpu.Lir in
+  let loop_body =
+    Array.concat
+      [
+        [| L.ConstF (20, 0.0) |];
+        (* r21 = r20 + r0, r22 = r21 + r1, ..., r40 = r39 + r19 *)
+        Array.init 20 (fun k -> L.FBin (L.FAdd, 21 + k, 20 + k, k));
+        [| L.Store (0, 2, 40); L.VBin (L.FAdd, 2, 0, 1); L.VStore (0, 2, 2) |];
+      ]
+  in
+  let body =
+    Array.concat
+      [
+        [| L.ConstI (0, 0); L.Dim (1, 0) |];
+        Array.init 20 (fun k -> L.Load (k, 0, 0));
+        [| L.VLoad (0, 0, 0); L.VLoad (1, 0, 0) |];
+        [|
+          L.Loop { L.iv = 2; lb = 0; ub = 1; step = 1; body = loop_body; vector_width = 4 };
+          L.Ret;
+        |];
+      ]
+  in
+  let f =
+    {
+      L.fname = "pressure";
+      params = [ 0 ];
+      body;
+      nf = 41;
+      ni = 3;
+      nv = 3;
+      nb = 1;
+      vec_width = 4;
+      prov = L.no_prov;
+    }
+  in
+  let s = Spnc_cpu.Regalloc.allocate f in
+  (* constants are rematerialized: 40 floats, 2 ints, 3 vectors *)
+  check tint "intervals" 45 s.Spnc_cpu.Regalloc.intervals;
+  check tint "spills_f" 5 s.spills_f;
+  check tint "spills_i" 0 s.spills_i;
+  check tint "spills_v" 0 s.spills_v;
+  check tint "max_pressure_f" 16 s.max_pressure_f;
+  check tint "max_pressure_v" 3 s.max_pressure_v
+
 (* -- Cost model ---------------------------------------------------------------------- *)
 
 let machine = Spnc_machine.Machine.ryzen_3900xt
@@ -323,6 +373,7 @@ let suite =
     Alcotest.test_case "optimizer idempotent" `Quick test_optimizer_is_idempotent_on_o1;
     Alcotest.test_case "regalloc reports" `Quick test_regalloc_runs_and_reports;
     Alcotest.test_case "small function no spills" `Quick test_small_function_no_spills;
+    Alcotest.test_case "regalloc golden stats" `Quick test_regalloc_golden_stats;
     Alcotest.test_case "cost scales with rows" `Quick test_cost_scales_with_rows;
     Alcotest.test_case "cost: vectorization helps" `Quick test_cost_vectorization_helps_with_veclib;
     Alcotest.test_case "cost: no-veclib hurts" `Quick test_cost_vectorization_without_veclib_hurts;

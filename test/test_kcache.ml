@@ -282,6 +282,44 @@ let test_corrupt_disk_entry_recompiles () =
       check tint "no disk hit" 0 k.Compiler.disk_hits;
       check tbool "recompiled outputs bit-identical" true (first = second))
 
+(* An entry written under the previous format tag (whose artifact still
+   carried the CIR module) must be a quiet miss: never decoded, not
+   quarantined, replaced by a full compile.  Its payload would fail to
+   unmarshal, so a decode attempt would show as a quarantined entry. *)
+let test_v1_entry_is_quiet_miss () =
+  with_tmp_dir (fun dir ->
+      let options = disk_options dir in
+      let model = small_model () in
+      Compiler.reset_kernel_cache ();
+      let first = Compiler.execute (Compiler.compile ~options model) small_rows in
+      let kc = opened dir in
+      let key =
+        match Kcache.entry_keys kc with
+        | [ k ] -> k
+        | ks -> Alcotest.failf "expected one entry, found %d" (List.length ks)
+      in
+      let v1 = "spnc-compiled-v1/" ^ Sys.ocaml_version in
+      Kcache.store kc ~fmt:v1 ~key "v1 layout: cir, lir, regalloc";
+      Compiler.reset_kernel_cache ();
+      Kcache.reset_counters_for_tests ();
+      let second = Compiler.execute (Compiler.compile ~options model) small_rows in
+      let k = Compiler.cache_counters () in
+      check tint "v1 entry not served" 0 k.Compiler.disk_hits;
+      check tint "full compile" 1 k.Compiler.full_compiles;
+      check tint "nothing quarantined" 0 (Kcache.quarantined_count kc);
+      check tint "no corruption counted" 0 (Kcache.counters ()).Kcache.corrupt;
+      check tbool "outputs bit-identical" true (first = second);
+      Array.iteri
+        (fun i row ->
+          check (Alcotest.float 1e-9) "matches the reference"
+            (Spnc_spn.Infer.log_likelihood model row) second.(i))
+        small_rows;
+      (* the recompile replaced the entry: the next start is a disk hit *)
+      Compiler.reset_kernel_cache ();
+      let third = Compiler.execute (Compiler.compile ~options model) small_rows in
+      check tint "replaced entry served" 1 (Compiler.cache_counters ()).Compiler.disk_hits;
+      check tbool "served outputs bit-identical" true (first = third))
+
 let test_runtime_knobs_share_disk_entry () =
   with_tmp_dir (fun dir ->
       let options = disk_options dir in
@@ -325,4 +363,6 @@ let suite =
       `Quick test_corrupt_disk_entry_recompiles;
     Alcotest.test_case "compiler: runtime-only knobs share the entry" `Quick
       test_runtime_knobs_share_disk_entry;
+    Alcotest.test_case "compiler: v1-tagged entry is a quiet miss" `Quick
+      test_v1_entry_is_quiet_miss;
   ]

@@ -133,6 +133,50 @@ let test_dce_keeps_effects () =
   check tint "store kept" 1
     (count (fun i -> match i with Lir.Store _ -> true | _ -> false) f')
 
+(* a chain r0 -> r1 -> ... -> r11 whose end nobody reads: every link
+   dies once its successor has gone *)
+let dead_chain =
+  Lir.ConstF (0, 1.0) :: List.init 11 (fun k -> Lir.FBin (Lir.FAdd, k + 1, k, k))
+
+let test_dce_removes_long_chain () =
+  let f =
+    func ~nf:13 ~ni:1
+      (dead_chain @ [ Lir.ConstF (12, 2.0); Lir.ConstI (0, 0); Lir.Store (0, 0, 12); Lir.Ret ])
+  in
+  check tint "12-instruction chain" 12 (List.length dead_chain);
+  let f' = Opt.dce f in
+  check tint "whole chain removed in one call" 4 (size f');
+  check tint "no float arithmetic left" 0
+    (count (fun i -> match i with Lir.FBin _ -> true | _ -> false) f')
+
+let test_dce_idempotent () =
+  (* dead code at top level and inside a loop; r12 feeds the loop from
+     outside and stays *)
+  let loop_body =
+    [|
+      Lir.ItoF (13, 2);
+      Lir.FBin (Lir.FMul, 14, 13, 13);
+      (* dead *)
+      Lir.FBin (Lir.FAdd, 15, 13, 12);
+      Lir.Store (0, 2, 15);
+    |]
+  in
+  let f =
+    func ~nf:16 ~ni:3
+      (dead_chain
+      @ [
+          Lir.ConstF (12, 2.0);
+          Lir.ConstI (0, 0);
+          Lir.Dim (1, 0);
+          Lir.Loop
+            { Lir.iv = 2; lb = 0; ub = 1; step = 1; body = loop_body; vector_width = 1 };
+          Lir.Ret;
+        ])
+  in
+  let once = Opt.dce f in
+  check tint "dead code gone" 8 (size once);
+  check tbool "second call changes nothing" true (Opt.dce once = once)
+
 (* -- LICM ---------------------------------------------------------------------- *)
 
 let test_licm_hoists_invariants_only () =
@@ -261,6 +305,8 @@ let suite =
     Alcotest.test_case "cse dedups" `Quick test_cse_dedups_and_rewrites_uses;
     Alcotest.test_case "cse keeps loads" `Quick test_cse_does_not_merge_loads;
     Alcotest.test_case "dce keeps effects" `Quick test_dce_keeps_effects;
+    Alcotest.test_case "dce removes a long chain" `Quick test_dce_removes_long_chain;
+    Alcotest.test_case "dce idempotent" `Quick test_dce_idempotent;
     Alcotest.test_case "licm selective" `Quick test_licm_hoists_invariants_only;
     Alcotest.test_case "fma fuses" `Quick test_fma_fuses_single_use_mul;
     Alcotest.test_case "fma multiple uses" `Quick test_fma_respects_multiple_uses;
